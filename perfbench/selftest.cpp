@@ -43,7 +43,7 @@ void histogram_math() {
   CHECK(histogram().quantile(0.5) == 0.0);
 
   // Bucket geometry: every value lies in its bucket, buckets are
-  // contiguous and no wider than 1/256 of their lower bound.
+  // contiguous and no wider than 1/1024 of their lower bound.
   std::uint64_t previous_index = 0;
   for (std::uint64_t v = 0; v < 5'000'000; v += 1 + v / 97) {
     const std::size_t index = histogram::index_of(v);
@@ -59,7 +59,7 @@ void histogram_math() {
       const double width = static_cast<double>(histogram::upper_bound(index) -
                                                histogram::lower_bound(index));
       CHECK(width <=
-            static_cast<double>(histogram::lower_bound(index)) / 256.0);
+            static_cast<double>(histogram::lower_bound(index)) / 1024.0);
     }
   }
   CHECK(histogram::index_of(~std::uint64_t{0}) == histogram::kBuckets - 1);

@@ -16,12 +16,12 @@ namespace perfbench {
 /// HDR-style log-linear histogram of non-negative integer values
 /// (nanoseconds here).  Values below 2^kSubBits are counted exactly;
 /// above that every power-of-two range is split into 2^(kSubBits-1)
-/// equal buckets, so a bucket is at most 1/256 of its value wide.
+/// equal buckets, so a bucket is at most 1/1024 of its value wide.
 /// Recording is an index computation and one add; histograms merge
 /// exactly by adding counts.
 class histogram {
  public:
-  static constexpr unsigned kSubBits = 9;
+  static constexpr unsigned kSubBits = 11;
   static constexpr std::uint64_t kExact = std::uint64_t{1} << kSubBits;
   static constexpr std::uint64_t kHalf = kExact / 2;
   static constexpr std::size_t kBuckets =
