@@ -68,13 +68,13 @@ namespace {
 using namespace perfbench;
 using hdhash::server_id;
 
-constexpr double kLifetimeSeconds = 1.0;    // measured per server process
-constexpr std::size_t kSetups = 15;         // set-ups timed per run, at least
+constexpr std::size_t kSetups = 25;         // set-ups timed per run
 constexpr double kWarmupSeconds = 0.3;      // traffic before measuring
-constexpr double kWindowSeconds = 0.02;     // one rate/CPU/latency sample
+constexpr double kSegmentSeconds = 1.0;     // measured between steal checks
+constexpr double kMaxStealShare = 0.005;    // a segment above is disturbed
+constexpr double kExtraSegments = 1.2;      // extra segments, per segment
 constexpr double kDrainSeconds = 5.0;       // wait for late replies
 constexpr double kPingSeconds = 1.0;        // traced run: PING phase
-constexpr double kMaxStealShare = 0.01;     // lifetime repeated above this
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
@@ -387,6 +387,10 @@ double steal_share(const host_ticks& before, const host_ticks& after) {
 /// reference answer under some membership epoch open while the
 /// request was in flight.  Epoch v follows v membership changes; even
 /// epochs have the base membership (JOIN x / LEAVE x alternate).
+///
+/// An answer flagged `control` is the negative control: the generator
+/// corrupted it on purpose.  It is checked like any other; finish()
+/// reports how many such answers its checks caught.
 class verifier {
  public:
   verifier(const workload_spec& spec, const key_space& keys,
@@ -396,34 +400,36 @@ class verifier {
   /// Online check of an answer on a connection other than route-churn's
   /// connection 0.  False = certainly wrong; true = right or deferred
   /// to finish().
-  bool check(std::uint32_t key, server_id answer, std::uint64_t sent_ns) {
+  bool check(std::uint32_t key, server_id answer, std::uint64_t sent_ns,
+             bool control) {
     const bool base_match = answer == ref_.base[key];
     if (!spec_.churn) {
       return base_match;
     }
-    // Every change sent so far was sent before the reply arrived.
-    const std::uint64_t hi = op_server_.size();
-    // First epoch still open at sent_ns: the change that closes epoch v
-    // (change v+1) was answered after the request was sent.
-    const auto it = std::upper_bound(op_reply_ns_.begin(), op_reply_ns_.end(),
-                                     sent_ns);
-    const std::uint64_t lo =
-        static_cast<std::uint64_t>(it - op_reply_ns_.begin());
+    const auto [lo, hi] = open_epochs(sent_ns);
     const bool has_even = lo % 2 == 0 || lo < hi;
     if (base_match && has_even) {
       return true;
     }
-    const bool has_odd = lo % 2 == 1 || lo < hi;
-    if (!has_odd) {
+    if (!odd_epoch_open(sent_ns)) {
       return false;
     }
-    deferred_.push_back({key, answer, lo, hi});
+    deferred_.push_back({key, answer, lo, hi, control});
     return true;
+  }
+
+  /// route-churn: whether an epoch with a joined fresh server was open
+  /// while a request sent at `sent_ns` was in flight, so that a wrong
+  /// answer to it is only found by finish().
+  bool odd_epoch_open(std::uint64_t sent_ns) const {
+    const auto [lo, hi] = open_epochs(sent_ns);
+    return lo % 2 == 1 || lo < hi;
   }
 
   /// route-churn connection 0: a command of its stream was sent.
   void conn0_sent(const stream_command& command) {
-    log_.push_back({command.kind, command.key, command.server, 0, false});
+    log_.push_back({command.kind, command.key, command.server, 0, false,
+                    false});
     if (command.kind != command_kind::route) {
       op_server_.push_back(command.server);
     }
@@ -431,44 +437,29 @@ class verifier {
 
   /// ... and its oldest unanswered command was answered (`ok` false for
   /// an error reply).
-  void conn0_answered(server_id answer, bool ok, std::uint64_t t) {
+  void conn0_answered(server_id answer, bool ok, std::uint64_t t,
+                      bool control) {
     entry& e = log_[answered_++];
     e.answer = answer;
     e.answered = ok;
+    e.control = control;
     if (e.kind != command_kind::route) {
       op_reply_ns_.push_back(t);
       failed_changes_ += ok ? 0 : 1;
     }
   }
 
-  /// Offline checks; returns the number of wrong answers.  Sets
-  /// `emulator_ok` from the emulator histogram comparison.
-  std::uint64_t finish(bool& emulator_ok) const {
+  /// Offline checks; returns the number of wrong answers, controls
+  /// among them, and adds the controls it caught to `controls_caught`.
+  /// Sets `emulator_ok` from the emulator histogram comparison.
+  std::uint64_t finish(bool& emulator_ok,
+                       std::uint64_t& controls_caught) const {
     emulator_ok = true;
     if (!spec_.churn) {
       return 0;
     }
-    return check_connection0(log_, emulator_ok) + check_deferred();
-  }
-
-  /// Negative control: the same checks must catch one corrupted answer.
-  bool catches_corruption(std::uint32_t key) {
-    const server_id wrong = ref_.base[key] + 1;
-    if (!spec_.churn) {
-      return !check(key, wrong, 0);
-    }
-    // Connection 0's stream up to its first answered ROUTE, with that
-    // answer corrupted.
-    for (std::size_t i = 0; i < log_.size(); ++i) {
-      if (log_[i].kind == command_kind::route && log_[i].answered) {
-        std::vector<entry> corrupted(log_.begin(), log_.begin() + i + 1);
-        corrupted.back().answer += 1;
-        bool emulator_ok = true;
-        return check_connection0(corrupted, emulator_ok) ==
-               check_connection0(std::span(log_).first(i + 1), emulator_ok) + 1;
-      }
-    }
-    return false;
+    return check_connection0(emulator_ok, controls_caught) +
+           check_deferred(controls_caught);
   }
 
  private:
@@ -478,13 +469,27 @@ class verifier {
     std::uint64_t server;
     server_id answer;
     bool answered;
+    bool control;
   };
   struct pending_check {
     std::uint32_t key;
     server_id answer;
     std::uint64_t lo;
     std::uint64_t hi;
+    bool control;
   };
+
+  /// [lo, hi]: the epochs open while a request sent at `sent_ns` was in
+  /// flight, up to now.  Every change sent so far was sent before the
+  /// reply arrived (hi); the first epoch still open at sent_ns is the
+  /// one whose closing change (change v+1) was answered after it (lo).
+  std::pair<std::uint64_t, std::uint64_t> open_epochs(
+      std::uint64_t sent_ns) const {
+    const auto it = std::upper_bound(op_reply_ns_.begin(), op_reply_ns_.end(),
+                                     sent_ns);
+    return {static_cast<std::uint64_t>(it - op_reply_ns_.begin()),
+            op_server_.size()};
+  }
 
   void apply(hdhash::dynamic_table& table, command_kind kind,
              std::uint64_t server) const {
@@ -495,8 +500,8 @@ class verifier {
     }
   }
 
-  std::uint64_t check_connection0(std::span<const entry> log,
-                                  bool& emulator_ok) const {
+  std::uint64_t check_connection0(bool& emulator_ok,
+                                  std::uint64_t& controls_caught) const {
     std::unique_ptr<hdhash::dynamic_table> table = ref_.table->clone();
     std::uint64_t wrong = 0;
     std::vector<std::uint64_t> ids;
@@ -511,18 +516,24 @@ class verifier {
       for (std::size_t i = 0; i < ids.size(); ++i) {
         if (routes[i]->answered && routes[i]->answer != answers[i]) {
           ++wrong;
+          controls_caught += routes[i]->control ? 1 : 0;
         }
       }
       ids.clear();
       routes.clear();
     };
-    for (const entry& e : log) {
+    for (const entry& e : log_) {
       if (e.kind == command_kind::route) {
         ids.push_back(keys_.ids[e.key]);
         routes.push_back(&e);
         all_answered = all_answered && e.answered;
-        ++load[e.answer];
-        events.push_back({hdhash::event_kind::request, keys_.ids[e.key], 1.0});
+        // The control's true answer is unknown: it stays out of both
+        // load histograms.
+        if (!e.control) {
+          ++load[e.answer];
+          events.push_back(
+              {hdhash::event_kind::request, keys_.ids[e.key], 1.0});
+        }
         continue;
       }
       resolve();
@@ -546,7 +557,7 @@ class verifier {
     return wrong;
   }
 
-  std::uint64_t check_deferred() const {
+  std::uint64_t check_deferred(std::uint64_t& controls_caught) const {
     // (odd epoch, deferred index) pairs, resolved by walking the
     // membership changes in order on one reference table.
     std::vector<std::pair<std::uint64_t, std::size_t>> wanted;
@@ -588,8 +599,14 @@ class verifier {
       }
       next = end;
     }
-    return static_cast<std::uint64_t>(
-        std::count(passed.begin(), passed.end(), false));
+    std::uint64_t wrong = 0;
+    for (std::size_t i = 0; i < deferred_.size(); ++i) {
+      if (!passed[i]) {
+        ++wrong;
+        controls_caught += deferred_[i].control ? 1 : 0;
+      }
+    }
+    return wrong;
   }
 
   const workload_spec& spec_;
@@ -616,28 +633,49 @@ struct connection {
 
 enum class traffic { route, ping };
 
-/// Measured figures of traffic phases, one entry per kWindowSeconds
-/// window.  Results are medians over the windows, so a short stall
-/// (another tenant, a timer) moves a few windows, not the result.
+/// Figures of the measured time of a traffic phase, summed over its
+/// kept segments.  Rate, CPU per reply and percentiles are figures of
+/// the whole measured time, so a stall anywhere in it moves them.
 struct drive_result {
-  std::vector<double> rps;      ///< answered ROUTEs (PINGs) per second
-  std::vector<double> p50_us;
-  std::vector<double> p99_us;
-  std::vector<double> cpu_ns;   ///< server CPU per reply
-  histogram late;               ///< generator lateness, ns
-  std::uint64_t replies = 0;    ///< every reply while measuring
-  std::uint64_t bytes = 0;      ///< sent + received while measuring
+  std::uint64_t wall_ns = 0;        ///< measured time
+  std::uint64_t server_cpu_ns = 0;  ///< server CPU over it
+  std::uint64_t bytes = 0;          ///< sent + received in it
+  reply_recorder recorded;          ///< replies received in it
+  histogram late;                   ///< generator lateness, ns
+  std::size_t segments_measured = 0;
+  std::size_t segments_kept = 0;
 
+  /// Adds a segment's figures.
   void append(const drive_result& other) {
-    rps.insert(rps.end(), other.rps.begin(), other.rps.end());
-    p50_us.insert(p50_us.end(), other.p50_us.begin(), other.p50_us.end());
-    p99_us.insert(p99_us.end(), other.p99_us.begin(), other.p99_us.end());
-    cpu_ns.insert(cpu_ns.end(), other.cpu_ns.begin(), other.cpu_ns.end());
-    late.merge(other.late);
-    replies += other.replies;
+    wall_ns += other.wall_ns;
+    server_cpu_ns += other.server_cpu_ns;
     bytes += other.bytes;
+    recorded.replies += other.recorded.replies;
+    recorded.answered += other.recorded.answered;
+    recorded.latency.merge(other.recorded.latency);
+    late.merge(other.late);
+  }
+
+  /// Answered ROUTEs (PINGs) per second.
+  double rps() const {
+    return static_cast<double>(recorded.answered) /
+           (static_cast<double>(std::max<std::uint64_t>(1, wall_ns)) / 1e9);
+  }
+
+  double cpu_ns_per_reply() const {
+    return static_cast<double>(server_cpu_ns) /
+           static_cast<double>(std::max<std::uint64_t>(1, recorded.replies));
   }
 };
+
+/// Negative control armed on a connection for one drive: the first
+/// ROUTE answer it receives while measuring (`any`), or the first whose
+/// request was in flight while a fresh server was a member, so that only
+/// the route-churn offline check can catch it (`deferred`), is corrupted
+/// to a server id no membership contains.
+enum class control_kind : std::uint8_t { none, any, deferred };
+
+constexpr server_id kCorruptBit = server_id{1} << 62;
 
 class generator {
  public:
@@ -679,33 +717,46 @@ class generator {
     }
   }
 
+  /// Closes every connection's books: commands never answered count
+  /// failed.
   void disconnect() {
     for (connection& conn : conns_) {
-      attempted_ += conn.ledger.attempted();
-      failed_ += conn.ledger.failed();
+      settle(conn.ledger, attempted_, failed_);
     }
     conns_.clear();
   }
 
-  /// Drives `kind` traffic for warmup + measure seconds against `pid`.
+  /// Drives `kind` traffic against `pid`: warmup_s seconds, then
+  /// measure_s seconds measured in segments of about kSegmentSeconds.
+  /// The hypervisor can stop this guest's CPUs to run other guests
+  /// ("steal", in /proc/stat).  A segment during which more than
+  /// kMaxStealShare of all CPU time was stolen is disturbed: measuring
+  /// goes on until enough undisturbed segments are kept, or until
+  /// kExtraSegments times as many extra segments were measured; then
+  /// the least disturbed segments are kept.  Which segments are kept
+  /// depends on steal alone, never on the figures measured.
   drive_result drive(traffic kind, pid_t pid, double warmup_s,
                      double measure_s) {
     drive_result result;
-    const auto windows = static_cast<std::size_t>(
-        std::max(1.0, std::round(measure_s / kWindowSeconds)));
+    const auto segments = static_cast<std::size_t>(
+        std::max(1.0, std::round(measure_s / kSegmentSeconds)));
+    const auto segment_ns = static_cast<std::uint64_t>(
+        measure_s * 1e9 / static_cast<double>(segments));
+    // Allocated up front, so that no page faults fall in measured time.
+    std::vector<drive_result> measured(
+        segments + static_cast<std::size_t>(std::ceil(
+                       kExtraSegments * static_cast<double>(segments))));
+    std::vector<double> stolen;
+    stolen.reserve(measured.size());
+    std::size_t undisturbed = 0;
     const std::uint64_t start = now_ns();
+    const std::uint64_t measure_from =
+        start + static_cast<std::uint64_t>(warmup_s * 1e9);
     const bool paced = kind == traffic::route && opts_.spec->paced_rps > 0.0;
-    window_recorder recorder;
-    recorder.from = start + static_cast<std::uint64_t>(warmup_s * 1e9);
-    recorder.window_ns = static_cast<std::uint64_t>(measure_s * 1e9) / windows;
-    recorder.to = recorder.from + recorder.window_ns * windows;
-    recorder.paced = paced;
-    recorder.replies.assign(windows, 0);
-    recorder.answered.assign(windows, 0);
-    // Server CPU clock and wall clock read at each window edge.
-    std::vector<std::uint64_t> cpu_at(windows + 1, 0);
-    std::vector<std::uint64_t> edge_at(windows + 1, 0);
-    std::size_t next_edge = 0;
+    for (drive_result& segment : measured) {
+      segment.recorded.paced = paced;
+    }
+    result.recorded.paced = paced;
     open_loop_schedule schedule(start, paced ? opts_.spec->paced_rps : 1.0);
 
     hdhash::net::unique_fd epoll_fd(epoll_create1(EPOLL_CLOEXEC));
@@ -715,27 +766,48 @@ class generator {
       event.data.u64 = c;
       epoll_ctl(epoll_fd.get(), EPOLL_CTL_ADD, conns_[c].fd.get(), &event);
     }
+    if (kind == traffic::route) {
+      arm_controls();
+    }
 
-    recorder_ = &recorder;
+    drive_result* segment = measured.data();
+    recorder_ = &segment->recorded;
     streaming_ = kind == traffic::route;
     measuring_ = false;
-    bytes_ = 0;
+    std::uint64_t cpu_from = 0;
+    std::uint64_t wall_from = 0;
+    host_ticks ticks_from;
     std::uint64_t stop_at = 0;
     bool sending = true;
     std::uint64_t next_paced_conn = 0;
+    // Every reply received between a segment's two readings is its own.
+    const auto open_segment = [&] {
+      bytes_ = 0;
+      ticks_from = read_host_ticks();
+      cpu_from = server_cpu_ns(pid);
+      wall_from = now_ns();
+      measuring_ = true;
+    };
     epoll_event events[kConnections];
     for (;;) {
       const std::uint64_t now = now_ns();
-      while (next_edge <= windows &&
-             now >= recorder.from + next_edge * recorder.window_ns) {
-        cpu_at[next_edge] = server_cpu_ns(pid);
-        edge_at[next_edge++] = now_ns();
-      }
-      measuring_ = next_edge > 0 && next_edge <= windows;
-      if (sending && next_edge > windows) {
-        sending = false;
-        stop_at = now;
-        result.bytes = bytes_;
+      if (sending && !measuring_ && now >= measure_from) {
+        open_segment();
+      } else if (measuring_ && now >= wall_from + segment_ns) {
+        segment->server_cpu_ns = server_cpu_ns(pid) - cpu_from;
+        segment->wall_ns = now_ns() - wall_from;
+        segment->bytes = bytes_;
+        stolen.push_back(steal_share(ticks_from, read_host_ticks()));
+        undisturbed += stolen.back() > kMaxStealShare ? 0 : 1;
+        if (undisturbed < segments && stolen.size() < measured.size()) {
+          ++segment;
+          recorder_ = &segment->recorded;
+          open_segment();
+        } else {
+          measuring_ = false;
+          sending = false;
+          stop_at = now;
+        }
       }
       if (!sending) {
         std::size_t outstanding = 0;
@@ -753,7 +825,7 @@ class generator {
           const std::size_t c = next_paced_conn++ % conns_.size();
           send_next(c, kind, due, now);
           if (measuring_) {
-            result.late.record(now - due);
+            segment->late.record(now - due);
           }
         }
       } else if (sending) {
@@ -763,7 +835,7 @@ class generator {
             continue;
           }
           if (measuring_) {
-            result.late.record(now - conn_ready_ns_[c]);
+            segment->late.record(now - conn_ready_ns_[c]);
           }
           while (conn.ledger.outstanding() < kPipeline) {
             send_next(c, kind, now, now);
@@ -773,28 +845,34 @@ class generator {
       for (std::size_t c = 0; c < conns_.size(); ++c) {
         flush(c);
       }
+      // Polls without sleeping.  A sleeping generator halts its CPU, and
+      // waking it then waits on the hypervisor: that wait showed up as
+      // steal and as milliseconds added to the latencies it measures.
       const int ready = epoll_wait(epoll_fd.get(), events,
-                                   static_cast<int>(kConnections),
-                                   paced ? 0 : 1);
+                                   static_cast<int>(kConnections), 0);
       for (int i = 0; i < ready; ++i) {
         receive(static_cast<std::size_t>(events[i].data.u64));
       }
     }
     recorder_ = nullptr;
     streaming_ = false;
-    measuring_ = false;
-
-    recorder.close();
-    result.p50_us = recorder.p50_us;
-    result.p99_us = recorder.p99_us;
-    for (std::size_t w = 0; w < windows; ++w) {
-      result.replies += recorder.replies[w];
-      result.rps.push_back(
-          static_cast<double>(recorder.answered[w]) /
-          (static_cast<double>(edge_at[w + 1] - edge_at[w]) / 1e9));
-      result.cpu_ns.push_back(
-          static_cast<double>(cpu_at[w + 1] - cpu_at[w]) /
-          static_cast<double>(std::max<std::uint64_t>(1, recorder.replies[w])));
+    // The least disturbed segments, the earlier first among equals.
+    std::vector<std::size_t> order(stolen.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      order[i] = i;
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return stolen[a] < stolen[b];
+                     });
+    result.segments_measured = stolen.size();
+    result.segments_kept = std::min(segments, stolen.size());
+    for (std::size_t i = 0; i < result.segments_kept; ++i) {
+      result.append(measured[order[i]]);
+    }
+    for (control_kind& armed : armed_) {
+      controls_unfired_ += armed == control_kind::none ? 0 : 1;
+      armed = control_kind::none;
     }
     return result;
   }
@@ -817,10 +895,40 @@ class generator {
   }
 
   std::uint64_t attempted() const noexcept { return attempted_; }
+  /// Failures counted online, controls caught online among them.
   std::uint64_t failed() const noexcept { return failed_; }
   std::uint64_t scanner_failures() const noexcept { return scanner_failures_; }
+  std::uint64_t controls_injected() const noexcept {
+    return controls_injected_;
+  }
+  std::uint64_t controls_caught() const noexcept { return controls_caught_; }
+  std::uint64_t controls_unfired() const noexcept { return controls_unfired_; }
 
  private:
+  /// route-churn corrupts one answer of connection 0's exactly replayed
+  /// stream and one deferred answer on connection 1; the static
+  /// workloads one answer on connection 1.
+  void arm_controls() {
+    if (opts_.spec->churn) {
+      armed_[0] = control_kind::any;
+      armed_[1] = control_kind::deferred;
+    } else {
+      armed_[1] = control_kind::any;
+    }
+  }
+
+  bool fire_control(std::size_t c, const sent_command& command) {
+    const control_kind armed = armed_[c];
+    if (armed == control_kind::none ||
+        (armed == control_kind::deferred &&
+         !verifier_.odd_epoch_open(command.sent_ns))) {
+      return false;
+    }
+    armed_[c] = control_kind::none;
+    ++controls_injected_;
+    return true;
+  }
+
   void enqueue(std::size_t c, const sent_command& command,
                std::string_view bytes) {
     conns_[c].out.append(bytes);
@@ -919,27 +1027,35 @@ class generator {
     }
   }
 
-  void handle(std::size_t c, const reply_frame& frame, std::uint64_t t) {
+  void handle(std::size_t c, reply_frame frame, std::uint64_t t) {
     sent_command command;
     const reply_outcome outcome = conns_[c].ledger.answer(frame, command);
-    const bool counted = answered_and_right(c, frame, t, command, outcome);
-    if (recorder_ != nullptr) {
+    const bool control = measuring_ &&
+                         outcome == reply_outcome::route_answer &&
+                         fire_control(c, command);
+    if (control) {
+      frame.value ^= kCorruptBit;
+    }
+    const bool counted =
+        answered_and_right(c, frame, t, command, outcome, control);
+    if (measuring_) {
       recorder_->reply(t, command, counted);
     }
   }
 
   /// Records `frame`'s outcome; true for a correct ROUTE answer (or,
-  /// in the PING phase, a PONG).
+  /// in the PING phase, a PONG).  A control never enters rate and
+  /// latency.
   bool answered_and_right(std::size_t c, const reply_frame& frame,
                           std::uint64_t t, const sent_command& command,
-                          reply_outcome outcome) {
+                          reply_outcome outcome, bool control) {
     // route-churn connection 0's stream is checked offline, in order.
     const bool stream0 = streaming_ && opts_.spec->churn && c == 0 &&
                          command.kind != command_kind::ping &&
                          command.kind != command_kind::stats;
     if (stream0) {
       verifier_.conn0_answered(frame.value, outcome != reply_outcome::failed,
-                               t);
+                               t, control);
     }
     if (command.kind == command_kind::stats && outcome == reply_outcome::ok) {
       stats_payload_.assign(frame.text);
@@ -951,39 +1067,32 @@ class generator {
     if (outcome != reply_outcome::route_answer) {
       return false;
     }
-    if (!stream0 &&
-        !verifier_.check(command.key, frame.value, command.sent_ns)) {
+    if (!stream0 && !verifier_.check(command.key, frame.value,
+                                     command.sent_ns, control)) {
       conns_[c].ledger.wrong_answer();
+      controls_caught_ += control ? 1 : 0;
       return false;
     }
-    if (last_key_ == UINT32_MAX) {
-      last_key_ = command.key;
-    }
-    return true;
+    return !control;
   }
 
- public:
-  /// A key answered correctly during the run (the negative control's
-  /// subject).
-  std::uint32_t checked_key() const noexcept {
-    return last_key_ == UINT32_MAX ? 0 : last_key_;
-  }
-
- private:
   const options& opts_;
   const key_space& keys_;
   command_source& source_;
   verifier& verifier_;
   std::vector<connection> conns_;
   std::uint64_t conn_ready_ns_[kConnections] = {};
-  window_recorder* recorder_ = nullptr;  ///< set while driving
+  control_kind armed_[kConnections] = {};
+  reply_recorder* recorder_ = nullptr;  ///< set while driving
   bool measuring_ = false;
   bool streaming_ = false;  ///< sending the workload's command stream
   std::uint64_t bytes_ = 0;
   std::uint64_t attempted_ = 0;
   std::uint64_t failed_ = 0;
   std::uint64_t scanner_failures_ = 0;
-  std::uint32_t last_key_ = UINT32_MAX;
+  std::uint64_t controls_injected_ = 0;
+  std::uint64_t controls_caught_ = 0;
+  std::uint64_t controls_unfired_ = 0;
   std::string stats_payload_;
 };
 
@@ -1520,7 +1629,7 @@ layer_report trace_layers(const options& opts, const key_space& keys,
                           const drive_result& run, const drive_result& ping,
                           const std::string& stats_payload) {
   const workload_spec& spec = *opts.spec;
-  const double e2e_cpu_ns = median(run.cpu_ns);
+  const double e2e_cpu_ns = run.cpu_ns_per_reply();
   // Per-layer replay, with the server's batch shape: full pipeline
   // windows under the closed loop, the observed ROUTEs per batch
   // under the open loop.  Window count: about 0.5 s of untraced
@@ -1595,7 +1704,7 @@ layer_report trace_layers(const options& opts, const key_space& keys,
   const double core_self = core_total - simd_self;
   const double emu_self = routed.cpu_ns_per_req - core_total;
   const double net_self =
-      median(ping.cpu_ns) - ping_wire_ns + per_command(span_parse) +
+      ping.cpu_ns_per_reply() - ping_wire_ns + per_command(span_parse) +
       per_command(span_encode);
   const double residual =
       (e2e_cpu_ns - (net_self + emu_self + core_self + simd_self)) /
@@ -1606,7 +1715,7 @@ layer_report trace_layers(const options& opts, const key_space& keys,
   const double epochs = stats_field(stats_payload, "snapshots_published");
   const double bytes_per_req =
       static_cast<double>(run.bytes) /
-      static_cast<double>(std::max<std::uint64_t>(1, run.replies));
+      static_cast<double>(std::max<std::uint64_t>(1, run.recorded.replies));
 
   std::printf("ledger %s: end-to-end server CPU %.1f ns/reply "
               "(untraced TCP run)\n",
@@ -1638,7 +1747,7 @@ layer_report trace_layers(const options& opts, const key_space& keys,
   report.metrics = {
       {"net.parse_ns", per_command(span_parse), "ns"},
       {"net.encode_ns", per_command(span_encode), "ns"},
-      {"net.ping_rps", median(ping.rps), "1/s"},
+      {"net.ping_rps", ping.rps(), "1/s"},
       {"net.bytes_per_req", bytes_per_req, "B"},
       {"net.self_ns", net_self, "ns"},
       {"emu.submit_ns", routed.submit_ns, "ns"},
@@ -1702,66 +1811,38 @@ int main(int argc, char** argv) {
       ", \"pipeline\": " + std::to_string(kPipeline) +
       ", \"paced_rps\": " + json_number(spec.paced_rps);
 
-  // The measurement is split over one server process per
-  // kLifetimeSeconds, each set up, warmed and measured in turn, so a
-  // state one process happens to land in (placement, memory layout)
-  // is one of many samples.  Every lifetime replays the same seeded
-  // stream.  Set-up (spawn, table build and joins, listen, connects,
-  // first answers) is timed for every lifetime plus set-up-only cycles
-  // up to kSetups samples.
+  // Set-up (spawn, table build and joins, listen, connects, first
+  // answers) is timed kSetups times, each with a fresh server process;
+  // the last server is then driven and measured.  The traced run sets
+  // up once.
   const host_ticks ticks_before = read_host_ticks();
-  const std::size_t lifetimes =
-      opts.trace ? 1
-                 : static_cast<std::size_t>(std::max(
-                       1.0, std::round(opts.seconds / kLifetimeSeconds)));
-  const double measure_s = opts.trace ? std::max(2.0, opts.seconds / 2.0)
-                                      : opts.seconds / lifetimes;
+  const std::size_t setups = opts.trace ? 1 : kSetups;
+  const double measure_s =
+      opts.trace ? std::max(2.0, opts.seconds / 2.0) : opts.seconds;
   std::vector<double> setup_s;
-  std::vector<double> hwm_mb;
+  double hwm_mb = 0.0;
   drive_result run;
   drive_result ping;
   std::string stats_payload;
   std::uint64_t attempted = 0;
   std::uint64_t failed = 0;
   std::uint64_t malformed_streams = 0;
+  std::uint64_t controls_injected = 0;
+  std::uint64_t controls_caught = 0;
+  std::uint64_t controls_unfired = 0;
   bool emulator_ok = true;
-  bool control_caught = true;
-  const auto set_up = [&](generator& gen) {
+  for (std::size_t cycle = 0; cycle < setups; ++cycle) {
+    command_source source(opts.seed, spec);
+    verifier check(spec, keys, ref);
+    generator gen(opts, keys, source, check);
     const std::uint64_t t0 = now_ns();
     server_process server = spawn_server(opts, split);
     gen.connect(server.port);
     setup_s.push_back(static_cast<double>(now_ns() - t0) / 1e9);
-    return server;
-  };
-  const std::size_t setup_only =
-      opts.trace || lifetimes >= kSetups ? 0 : kSetups - lifetimes;
-  // A lifetime during which the hypervisor ran other guests on this
-  // host's CPUs for more than kMaxStealShare of the time is measured
-  // again, at most lifetimes / 3 times per run; its answers are still
-  // checked.  The context line reports how many were repeated.
-  const std::size_t max_repeats = lifetimes / 3;
-  std::size_t measured = 0;
-  std::size_t repeated = 0;
-  for (std::size_t cycle = 0; measured < lifetimes; ++cycle) {
-    const bool measuring = cycle >= setup_only;
-    command_source source(opts.seed, spec);
-    verifier check(spec, keys, ref);
-    generator gen(opts, keys, source, check);
-    server_process server = set_up(gen);
-    if (measuring) {
+    if (cycle + 1 == setups) {
       pin_generator(split);
-      const host_ticks before = read_host_ticks();
-      drive_result one = gen.drive(traffic::route, server.pid,
-                                   kWarmupSeconds, measure_s);
-      if (steal_share(before, read_host_ticks()) > kMaxStealShare &&
-          repeated < max_repeats) {
-        ++repeated;
-      } else {
-        ++measured;
-        run.append(one);
-        hwm_mb.push_back(static_cast<double>(server_hwm_kb(server.pid)) /
-                         1024.0);
-      }
+      run = gen.drive(traffic::route, server.pid, kWarmupSeconds, measure_s);
+      hwm_mb = static_cast<double>(server_hwm_kb(server.pid)) / 1024.0;
       if (opts.trace) {
         ping = gen.drive(traffic::ping, server.pid, 0.2, kPingSeconds);
         stats_payload = gen.stats();
@@ -1771,15 +1852,20 @@ int main(int argc, char** argv) {
     stop_server(server);
     pin_thread(split.server_set);
     bool histogram_ok = true;
-    failed += check.finish(histogram_ok) + gen.failed();
+    failed += check.finish(histogram_ok, controls_caught) + gen.failed();
     attempted += gen.attempted();
     malformed_streams += gen.scanner_failures();
-    if (measuring) {
-      emulator_ok = emulator_ok && histogram_ok;
-      control_caught =
-          control_caught && check.catches_corruption(gen.checked_key());
-    }
+    emulator_ok = emulator_ok && histogram_ok;
+    controls_injected += gen.controls_injected();
+    controls_caught += gen.controls_caught();
+    controls_unfired += gen.controls_unfired();
   }
+  // Every control must have been injected and caught, each as exactly
+  // one failure; the caught ones are then taken out of the count.
+  const bool control_caught = controls_injected > 0 &&
+                              controls_caught == controls_injected &&
+                              controls_unfired == 0;
+  failed -= controls_caught;
 
   std::vector<metric> metrics;
   std::vector<std::string> notes;
@@ -1787,12 +1873,12 @@ int main(int argc, char** argv) {
 
   if (!opts.trace) {
     metrics = {
-        {"route_rps", median(run.rps), "1/s"},
-        {"route_p50_us", median(run.p50_us), "us"},
-        {"route_p99_us", median(run.p99_us), "us"},
-        {"cpu_ns_per_req", median(run.cpu_ns), "ns"},
+        {"route_rps", run.rps(), "1/s"},
+        {"route_p50_us", run.recorded.latency.quantile(0.50) / 1e3, "us"},
+        {"route_p99_us", run.recorded.latency.quantile(0.99) / 1e3, "us"},
+        {"cpu_ns_per_req", run.cpu_ns_per_reply(), "ns"},
         {"setup_s", median(setup_s), "s"},
-        {"peak_rss_mb", median(hwm_mb), "MB"},
+        {"peak_rss_mb", hwm_mb, "MB"},
     };
   } else {
     const layer_report layers =
@@ -1819,10 +1905,12 @@ int main(int argc, char** argv) {
                        replay_ok && malformed_streams == 0;
 
   std::printf("workload %s seed %" PRIu64 ": %" PRIu64 " commands, %" PRIu64
-              " failed (failed_frac %.3g), negative control %s\n",
+              " failed (failed_frac %.3g), negative control %" PRIu64
+              "/%" PRIu64 " %s\n",
               std::string(spec.name).c_str(), opts.seed, attempted, failed,
               static_cast<double>(failed) /
                   static_cast<double>(std::max<std::uint64_t>(1, attempted)),
+              controls_caught, controls_injected,
               control_caught ? "caught" : "MISSED");
   for (const std::string& note : notes) {
     std::printf("  check failed: %s\n", note.c_str());
@@ -1845,7 +1933,10 @@ int main(int argc, char** argv) {
   // numbers from runs with very different steal are not comparable.
   context += ", \"host_steal_pct\": " +
              json_number(100.0 * steal_share(ticks_before, read_host_ticks())) +
-             ", \"lifetimes_repeated\": " + std::to_string(repeated) + "}";
+             ", \"segments_measured\": " +
+             std::to_string(run.segments_measured) +
+             ", \"segments_kept\": " + std::to_string(run.segments_kept) +
+             "}";
   std::printf("context %s\n", context.c_str());
   std::printf("%s\n", json.c_str());
   return 0;

@@ -69,9 +69,14 @@ def main():
         "--server", os.path.join(build_dir, "perfbench_server"),
         "--trace-out", os.path.join(root, build_root, "perfbench-trace"),
     ]
+    # Plain 4 KB pages unless HDHASH_MEM says otherwise: whether a
+    # hugepage is free when the server starts depends on the rest of the
+    # host, so THP-advised memory made runs differ in speed and RSS.
+    run_env = dict(os.environ)
+    run_env.setdefault("HDHASH_MEM", "page")
     # Own process group, so a timeout stops the driver and its server.
     driver = subprocess.Popen(command, stdout=subprocess.PIPE, text=True,
-                              start_new_session=True)
+                              env=run_env, start_new_session=True)
     try:
         output, _ = driver.communicate(timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:

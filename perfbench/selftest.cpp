@@ -1,7 +1,8 @@
 /// perfbench_selftest: checks the benchmark's own code on known data —
 /// histogram and percentile math, reply accounting (-ERR replies,
-/// wrong-typed replies and dropped connections count as failures), and
-/// the open-loop schedule timing each request from its due time.
+/// wrong-typed replies, dropped connections and commands still
+/// outstanding when a run ends count as failures), and the open-loop
+/// schedule timing each request from its due time.
 /// Exits non-zero when any check fails; run.py runs it before every
 /// benchmark run.
 #include <cmath>
@@ -138,6 +139,24 @@ void reply_accounting() {
   CHECK(ledger.failed() == 7);
   CHECK(ledger.attempted() == 9);
 
+  // A run that ends with replies outstanding on a live connection:
+  // settling its books counts them failed, once.
+  command_ledger open;
+  open.sent({command_kind::route, 1, 0, 0});
+  open.sent({command_kind::route, 2, 0, 0});
+  open.sent({command_kind::join, 0, 0, 0});
+  scanner.feed(":9\r\n");
+  CHECK(scanner.next(frame));
+  CHECK(open.answer(frame, command) == reply_outcome::route_answer);
+  std::uint64_t attempted = 10;
+  std::uint64_t failed = 1;
+  settle(open, attempted, failed);
+  CHECK(attempted == 13 && failed == 3);
+  CHECK(open.outstanding() == 0);
+  command_ledger answered;  // nothing outstanding
+  settle(answered, attempted, failed);
+  CHECK(attempted == 13 && failed == 3);
+
   // Malformed frames latch the scanner.
   reply_scanner bad;
   bad.feed(":12a\r\n");
@@ -155,13 +174,8 @@ void open_loop_timing() {
   // once.  Timed from the due time, the stall shows in the latencies
   // (coordinated omission is not hidden) and in the lateness.
   open_loop_schedule schedule(0, 100'000.0);
-  window_recorder recorder;
-  recorder.from = 0;
-  recorder.window_ns = 2'000'000;
-  recorder.to = recorder.window_ns;
+  reply_recorder recorder;
   recorder.paced = true;
-  recorder.replies.assign(1, 0);
-  recorder.answered.assign(1, 0);
   histogram lateness;
   const std::uint64_t stall_end = 1'000'000;
   std::uint64_t due = 0;
@@ -172,24 +186,24 @@ void open_loop_timing() {
     recorder.reply(stall_end, {command_kind::route, 0, stall_end, due}, true);
     ++sent;
   }
-  recorder.close();
   CHECK(sent == 101);  // due at 0, 10 us, ..., 1000 us
   CHECK(!schedule.pop_due(stall_end, due));
   CHECK(schedule.pop_due(stall_end + 10'000, due) && due == 1'010'000);
-  CHECK(recorder.answered[0] == 101 && recorder.p50_us.size() == 1);
-  CHECK(near(recorder.p50_us[0], 500.0, 0.004));
-  CHECK(near(recorder.p99_us[0], 990.0, 0.004));
+  CHECK(recorder.answered == 101 && recorder.replies == 101);
+  CHECK(near(recorder.latency.quantile(0.50), 500'000.0, 0.004));
+  CHECK(near(recorder.latency.quantile(0.99), 990'000.0, 0.004));
   CHECK(near(lateness.quantile(0.99), 990'000.0, 0.004));
 
-  // The closed loop times the same reply from its send instead.
-  window_recorder closed = recorder;
-  closed.paced = false;
-  closed.p50_us.clear();
-  closed.p99_us.clear();
+  // The closed loop times the same reply from its send instead; a
+  // reply that is not counted enters neither rate nor latency.
+  reply_recorder closed;
   closed.reply(stall_end + 5'000, {command_kind::route, 0, stall_end, 0},
                true);
-  closed.close();
-  CHECK(closed.p50_us.size() == 1 && near(closed.p50_us[0], 5.0, 0.004));
+  closed.reply(stall_end + 9'000, {command_kind::route, 0, stall_end, 0},
+               false);
+  CHECK(closed.replies == 2 && closed.answered == 1);
+  CHECK(closed.latency.count() == 1 &&
+        near(closed.latency.quantile(0.50), 5'000.0, 0.004));
 
   // Without a stall every request is sent on time: lateness 0.
   open_loop_schedule steady(5'000, 100'000.0);

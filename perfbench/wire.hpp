@@ -1,8 +1,8 @@
 /// \file wire.hpp
 /// \brief The load generator's client-side code: a reply scanner,
 /// per-connection command accounting, the open-loop send schedule and
-/// the per-window rate and latency recorder.  Written apart from src/net so that a change to the
-/// server's own parser cannot change how the benchmark reads replies.
+/// the reply recorder.  Written apart from src/net so that a change to
+/// the server's own parser cannot change how the benchmark reads replies.
 /// Pure code with no hdhash dependency (checked by perfbench_selftest).
 /// Times are nanoseconds on one monotonic clock.
 #pragma once
@@ -12,7 +12,6 @@
 #include <deque>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "stats.hpp"
 
@@ -197,6 +196,15 @@ class command_ledger {
   std::uint64_t failed_ = 0;
 };
 
+/// Closes a connection's books into run totals.  Commands still
+/// outstanding when a run ends were never answered: they count failed.
+inline void settle(command_ledger& ledger, std::uint64_t& attempted,
+                   std::uint64_t& failed) {
+  ledger.dropped();
+  attempted += ledger.attempted();
+  failed += ledger.failed();
+}
+
 /// Open-loop send schedule: request i is due at start + i / rate.
 /// Latency is timed from the due time, so a generator or server stall
 /// charges every request that fell due during it.
@@ -227,44 +235,19 @@ class open_loop_schedule {
   std::uint64_t issued_ = 0;
 };
 
-/// Per-window reply counts and latency percentiles of one phase.
-/// Replies arrive in time order, so one histogram serves the open
-/// window and is summarised when the next window starts.
-struct window_recorder {
-  std::uint64_t from = 0;
-  std::uint64_t to = 0;
-  std::uint64_t window_ns = 1;
-  bool paced = false;
-  std::vector<std::uint64_t> replies;  ///< every reply
-  std::vector<std::uint64_t> answered; ///< answered ROUTEs (PINGs)
-  std::vector<double> p50_us;          ///< windows with answers only
-  std::vector<double> p99_us;
-  histogram open;
-  std::size_t open_window = 0;
+/// Reply counts and one latency histogram of a measured interval.
+struct reply_recorder {
+  bool paced = false;      ///< time latency from the due time
+  std::uint64_t replies = 0;   ///< every reply
+  std::uint64_t answered = 0;  ///< answered ROUTEs (PINGs)
+  histogram latency;           ///< of the answered ones, ns
 
   /// `counted`: an answered ROUTE (PING) that enters rate and latency.
   void reply(std::uint64_t t, const sent_command& command, bool counted) {
-    if (t < from || t >= to) {
-      return;
-    }
-    const std::size_t w =
-        std::min<std::size_t>(replies.size() - 1, (t - from) / window_ns);
-    if (w != open_window) {
-      close();
-      open_window = w;
-    }
-    ++replies[w];
+    ++replies;
     if (counted) {
-      ++answered[w];
-      open.record(t - (paced ? command.due_ns : command.sent_ns));
-    }
-  }
-
-  void close() {
-    if (open.count() > 0) {
-      p50_us.push_back(open.quantile(0.50) / 1e3);
-      p99_us.push_back(open.quantile(0.99) / 1e3);
-      open.clear();
+      ++answered;
+      latency.record(t - (paced ? command.due_ns : command.sent_ns));
     }
   }
 };
