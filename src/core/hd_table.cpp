@@ -5,6 +5,8 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "hdc/similarity.hpp"
 #include "simd/hamming_kernel.hpp"
@@ -15,6 +17,11 @@ namespace hdhash {
 namespace {
 /// Salt decorrelating replica-row identifiers from real server ids.
 constexpr std::uint64_t kReplicaSalt = 0x57A5'11D5'0C1E'F00DULL;
+/// Words of every row the batch sweep screens before pruning (1024
+/// bits): enough for a far row's partial distance to exceed a near
+/// winner's full one, few enough that the screen is a small share of
+/// an exhaustive sweep at d = 10,000 (157 words).
+constexpr std::size_t kPrefixWords = 16;
 }  // namespace
 
 hd_table::hd_table(const hash64& hash, hd_table_config config)
@@ -192,8 +199,7 @@ hdc::query_result hd_table::decode(const hdc::hypervector& probe,
 void hd_table::decode_slots(std::span<const std::size_t> slots,
                             std::span<server_id> winners,
                             cached_slot* detail) const {
-  // One gather of the stored rows; scanning them in storage order keeps
-  // the win/tie rule identical to the scalar decode().
+  // One gather of the stored rows, in storage order.
   struct row_ref {
     std::uint64_t key;
     const std::uint64_t* words;
@@ -204,6 +210,7 @@ void hd_table::decode_slots(std::span<const std::size_t> slots,
     rows.push_back(row_ref{key, hv.words().data()});
   });
   const std::size_t words = (config_.dimension + 63) / 64;
+  const std::size_t prefix = std::min(kPrefixWords, words);
   const std::uint64_t step = encoder_.step_bits();
   // Degenerate circles (step 0) cannot quantize; raw argmax, as decode().
   const bool lattice = config_.lattice_decode && step > 0;
@@ -226,48 +233,152 @@ void hd_table::decode_slots(std::span<const std::size_t> slots,
   // distance, so score order — including exact ties — is distance
   // order).  This keeps the per-row sweep in integer compares; the
   // division that derives a lattice level runs only when the winner
-  // changes, O(log) times per sweep in expectation.
+  // changes.
   struct best_state {
     std::uint64_t key = 0;
     std::uint64_t d = 0;   ///< winning row's exact distance
     std::uint64_t lo = 0;  ///< smallest distance that still ties
     std::uint64_t hi = 0;  ///< smallest distance that loses
-    bool valid = false;
   };
+  const auto admit = [lattice, step](best_state& b, std::uint64_t key,
+                                     std::uint64_t d) {
+    b.key = key;
+    b.d = d;
+    if (lattice) {
+      // level = round-half-up(d / step), in exact integer form —
+      // identical to decode()'s llround for every reachable
+      // (distance, step) pair — and its cell [lo, hi).
+      const std::uint64_t level = (2 * d + step) / (2 * step);
+      b.lo = level == 0 ? 0 : (step * (2 * level - 1) + 1) / 2;
+      b.hi = (step * (2 * level + 1) + 1) / 2;
+    } else {
+      b.lo = d;
+      b.hi = d + 1;
+    }
+  };
+  // Branch and bound (partial-distance elimination): a popcount over
+  // any prefix of the words is a lower bound on the row's full
+  // distance, whatever the row holds — fault-corrupted rows included.
+  // A row whose bound already loses to the incumbent, or ties it with a
+  // larger key, loses to every later incumbent too, because the winner
+  // only improves during the sweep.  So pruning never changes the
+  // answer: it is the exhaustive argmin over (level, key).
+  const auto can_win = [](const best_state& b, std::uint64_t bound,
+                          std::uint64_t key) {
+    return bound < b.lo || (bound < b.hi && key < b.key);
+  };
+
+  // Per-call scratch (snapshots are swept by many threads at once):
+  // each row's running partial distance to each probe of the tile, and
+  // its least screened distance over the tile.
+  std::vector<std::uint64_t> partial(rows.size() * kTile);
+  std::vector<std::uint64_t> nearest(rows.size());
   std::array<const std::uint64_t*, kTile> probes{};
-  std::array<std::uint64_t, kTile> dist{};
+  std::array<const std::uint64_t*, kTile> offset{};
+  std::array<std::uint64_t, kTile> chunk_dist{};
+  std::array<std::size_t, kTile> seed{};
+  std::array<std::uint64_t, kTile> seed_bound{};
+  std::array<std::size_t, kTile> alive{};
   std::array<best_state, kTile> best{};
   for (std::size_t base = 0; base < slots.size(); base += kTile) {
     const std::size_t tile = std::min(kTile, slots.size() - base);
     for (std::size_t t = 0; t < kTile; ++t) {
-      // Padding the tail tile with its first probe keeps the kernel on
-      // its full-tile fast path (fixed trip count, unrolled).
+      // Padding the tail tile with its first probe keeps the screen on
+      // the kernel's full-tile fast path (fixed trip count, unrolled).
       probes[t] = encoder_.at(slots[base + (t < tile ? t : 0)]).words().data();
     }
-    best.fill(best_state{});
-    for (const row_ref& row : rows) {
-      kernel.tile_distance(row.words, probes.data(), kTile, words,
-                           dist.data());
+
+    // Screen: every row over the prefix words, and each probe's seed is
+    // its least-prefix row — with circle-neighbour probes in one tile,
+    // usually the final winner, so the bounds are tight from the start.
+    seed_bound.fill(std::numeric_limits<std::uint64_t>::max());
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      std::uint64_t* p = &partial[r * kTile];
+      kernel.tile_distance(rows[r].words, probes.data(), kTile, prefix, p);
+      std::uint64_t least = p[0];
       for (std::size_t t = 0; t < tile; ++t) {
-        best_state& b = best[t];
-        const std::uint64_t d = dist[t];
-        if (b.valid && d >= b.lo && (d >= b.hi || row.key >= b.key)) {
-          continue;  // loses outright, or ties against a smaller key
+        if (p[t] < seed_bound[t]) {
+          seed_bound[t] = p[t];
+          seed[t] = r;
         }
-        b.key = row.key;
-        b.d = d;
-        b.valid = true;
-        if (lattice) {
-          // level = round-half-up(d / step), in exact integer form —
-          // identical to decode()'s llround for every reachable
-          // (distance, step) pair — and its cell [lo, hi).
-          const std::uint64_t level = (2 * d + step) / (2 * step);
-          b.lo = level == 0 ? 0 : (step * (2 * level - 1) + 1) / 2;
-          b.hi = (step * (2 * level + 1) + 1) / 2;
-        } else {
-          b.lo = d;
-          b.hi = d + 1;
+        least = std::min(least, p[t]);
+      }
+      nearest[r] = least;
+    }
+    // Seeds are scored in full, each seed row once against all the
+    // probes it seeds (neighbouring probes mostly share one).
+    std::array<bool, kTile> seeded{};
+    for (std::size_t t = 0; t < tile; ++t) {
+      if (seeded[t]) {
+        continue;
+      }
+      std::array<std::size_t, kTile> sharing{};
+      std::size_t group = 0;
+      for (std::size_t u = t; u < tile; ++u) {
+        if (!seeded[u] && seed[u] == seed[t]) {
+          seeded[u] = true;
+          sharing[group] = u;
+          offset[group++] = probes[u] + prefix;
         }
+      }
+      const row_ref& row = rows[seed[t]];
+      kernel.tile_distance(row.words + prefix, offset.data(), group,
+                           words - prefix, chunk_dist.data());
+      for (std::size_t i = 0; i < group; ++i) {
+        const std::size_t u = sharing[i];
+        admit(best[u], row.key, seed_bound[u] + chunk_dist[i]);
+      }
+    }
+    // No row whose bounds all reach the widest band can win anywhere.
+    const auto widest_band = [&best, tile] {
+      std::uint64_t hi = 0;
+      for (std::size_t t = 0; t < tile; ++t) {
+        hi = std::max(hi, best[t].hi);
+      }
+      return hi;
+    };
+    std::uint64_t reach = widest_band();
+
+    // Sweep: extend each row in doubling word chunks only against the
+    // probes it can still beat or tie; a row that survives to the last
+    // word has its exact distance and is admitted.
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      if (nearest[r] >= reach) {
+        continue;
+      }
+      const row_ref& row = rows[r];
+      std::uint64_t* p = &partial[r * kTile];
+      std::size_t live = 0;
+      for (std::size_t t = 0; t < tile; ++t) {
+        if (r != seed[t] && can_win(best[t], p[t], row.key)) {
+          alive[live++] = t;
+        }
+      }
+      std::size_t done = prefix;
+      for (std::size_t chunk = prefix; live > 0 && done < words;
+           chunk *= 2) {
+        const std::size_t len = std::min(chunk, words - done);
+        for (std::size_t i = 0; i < live; ++i) {
+          offset[i] = probes[alive[i]] + done;
+        }
+        kernel.tile_distance(row.words + done, offset.data(), live, len,
+                             chunk_dist.data());
+        done += len;
+        std::size_t still = 0;
+        for (std::size_t i = 0; i < live; ++i) {
+          const std::size_t t = alive[i];
+          p[t] += chunk_dist[i];
+          if (can_win(best[t], p[t], row.key)) {
+            alive[still++] = t;
+          }
+        }
+        live = still;
+      }
+      for (std::size_t i = 0; i < live; ++i) {
+        admit(best[alive[i]], row.key, p[alive[i]]);
+      }
+      if (live > 0) {
+        reach = widest_band();
       }
     }
     for (std::size_t t = 0; t < tile; ++t) {
@@ -324,36 +435,47 @@ void hd_table::lookup_batch(std::span<const request_id> requests,
   }
   HDHASH_REQUIRE(!memory_.empty(), "lookup on an empty pool");
 
-  // Enc has only n distinct outputs, so the block collapses to at most
-  // min(|block|, n) distinct probes; encoding happens once per slot.
-  std::vector<std::size_t> slot_of(requests.size());
-  std::unordered_map<std::size_t, server_id> resolved;
-  resolved.reserve(requests.size());
-  std::vector<std::size_t> pending;
+  // Cache hits are answered in place.  Misses are sorted by circle
+  // slot: Enc has only n distinct outputs, so that dedupes them to at
+  // most min(|block|, n) probes, and it hands each decode tile circle
+  // neighbours, whose winners — and so their pruning bounds — mostly
+  // coincide.
+  std::vector<std::pair<std::size_t, std::size_t>> misses;  // (slot, i)
+  misses.reserve(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    slot_of[i] = encoder_.slot_of(requests[i]);
-    const auto [it, fresh] = resolved.try_emplace(slot_of[i], server_id{0});
-    if (!fresh) {
-      continue;
-    }
-    if (config_.slot_cache && cache_[slot_of[i]].has_value()) {
-      it->second = cache_[slot_of[i]]->owner;
+    const std::size_t slot = encoder_.slot_of(requests[i]);
+    if (config_.slot_cache && cache_[slot].has_value()) {
+      out[i] = cache_[slot]->owner;
     } else {
-      pending.push_back(slot_of[i]);
+      misses.emplace_back(slot, i);
+    }
+  }
+  if (misses.empty()) {
+    return;
+  }
+  std::sort(misses.begin(), misses.end());
+  std::vector<std::size_t> pending;
+  for (const auto& [slot, i] : misses) {
+    if (pending.empty() || pending.back() != slot) {
+      pending.push_back(slot);
     }
   }
 
+  const bool memoize = config_.slot_cache && !frozen_;
   std::vector<server_id> winners(pending.size());
-  std::vector<cached_slot> detail(pending.size());
-  decode_slots(pending, winners, detail.data());
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    resolved[pending[i]] = winners[i];
-    if (config_.slot_cache && !frozen_) {
-      cache_[pending[i]] = detail[i];
+  std::vector<cached_slot> detail(memoize ? pending.size() : 0);
+  decode_slots(pending, winners, memoize ? detail.data() : nullptr);
+  if (memoize) {
+    for (std::size_t j = 0; j < pending.size(); ++j) {
+      cache_[pending[j]] = detail[j];
     }
   }
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    out[i] = resolved.at(slot_of[i]);
+  std::size_t j = 0;
+  for (const auto& [slot, i] : misses) {
+    if (pending[j] != slot) {
+      ++j;
+    }
+    out[i] = winners[j];
   }
 }
 

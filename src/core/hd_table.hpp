@@ -13,9 +13,15 @@
 /// API v2 additions:
 ///  * lookup_batch() — the batch associative query.  Enc has only n
 ///    distinct outputs, so a request block first collapses to its unique
-///    circle slots, then the item memory is swept once with each stored
-///    row compared word-wise against a tile of probes (the software
-///    analogue of an accelerator answering several queries per pass).
+///    circle slots, sorted so that each tile of probes holds circle
+///    neighbours.  Each tile then sweeps the item memory by branch and
+///    bound (partial-distance elimination): every row is screened over a
+///    short word prefix against all probes of the tile, and only rows
+///    whose partial distance can still win or tie are read further.  A
+///    partial popcount is a lower bound on the full distance whatever
+///    the row holds, so the answers are exactly the exhaustive argmax's,
+///    on fault-corrupted rows too.  Single-request decode (lookup(),
+///    lookup_detailed()) stays the exhaustive scan.
 ///  * weighted join — a member of weight w stores round(w) rows
 ///    (replicated circle slots), so it wins a proportional share of the
 ///    request space.  Weight 1 is bit-identical to the unweighted v1
@@ -97,9 +103,10 @@ class hd_table final : public dynamic_table {
   void leave(server_id server) override;
   server_id lookup(request_id request) const override;
 
-  /// Batch associative query: slot-dedupes the block, then sweeps the
-  /// item memory once per probe tile with word-level reuse of each
-  /// stored row.  Assignments are identical to element-wise lookup().
+  /// Batch associative query: answers slot-cache hits in place, sorts
+  /// the misses by circle slot (deduping them), and decodes them with
+  /// the pruned tile sweep of decode_slots().  Assignments are identical
+  /// to element-wise lookup().
   void lookup_batch(std::span<const request_id> requests,
                     std::span<server_id> out) const override;
   using dynamic_table::lookup_batch;
@@ -180,12 +187,20 @@ class hd_table final : public dynamic_table {
   hdc::query_result decode(const hdc::hypervector& probe,
                            std::uint64_t* winner_distance = nullptr) const;
 
-  /// Decodes a block of circle slots to winning *owner* ids, scoring
-  /// each item-memory row against a tile of probes through the
-  /// dispatched SIMD Hamming kernel (simd/hamming_kernel.hpp); the
-  /// win/tie rule runs on integer distance bands, bit-identical across
-  /// kernels and to the scalar decode().  When non-null, `detail[i]`
-  /// receives the winning row key and distance for slots[i].
+  /// Decodes a block of circle slots to winning *owner* ids, eight
+  /// probes (one tile) at a time, through the dispatched SIMD Hamming
+  /// kernel (simd/hamming_kernel.hpp).  Per tile: every row is screened
+  /// over its first 16 words; each probe's winner is seeded with its
+  /// least-screened row, scored in full; then rows are extended in
+  /// doubling word chunks only while their partial distance can still
+  /// win or tie the probe's winner.  Exact for any row contents: the
+  /// partial distance never exceeds the full one, and the winner only
+  /// improves, so a pruned row would have lost to the final winner.
+  /// The win/tie rule runs on integer distance bands, bit-identical
+  /// across kernels and to the exhaustive decode().  Slots sorted by
+  /// circle position make a tile's probes share winners and bounds.
+  /// When non-null, `detail[i]` receives the winning row key and
+  /// distance for slots[i].
   void decode_slots(std::span<const std::size_t> slots,
                     std::span<server_id> winners,
                     cached_slot* detail = nullptr) const;

@@ -95,14 +95,21 @@ void tile_full(const std::uint64_t* row, const std::uint64_t* const* probes,
     a6 = _mm512_add_epi64(a6, score(probes[6]));
     a7 = _mm512_add_epi64(a7, score(probes[7]));
   }
-  dist[0] = static_cast<std::uint64_t>(_mm512_reduce_add_epi64(a0));
-  dist[1] = static_cast<std::uint64_t>(_mm512_reduce_add_epi64(a1));
-  dist[2] = static_cast<std::uint64_t>(_mm512_reduce_add_epi64(a2));
-  dist[3] = static_cast<std::uint64_t>(_mm512_reduce_add_epi64(a3));
-  dist[4] = static_cast<std::uint64_t>(_mm512_reduce_add_epi64(a4));
-  dist[5] = static_cast<std::uint64_t>(_mm512_reduce_add_epi64(a5));
-  dist[6] = static_cast<std::uint64_t>(_mm512_reduce_add_epi64(a6));
-  dist[7] = static_cast<std::uint64_t>(_mm512_reduce_add_epi64(a7));
+  // Eight horizontal sums as one transpose-and-add tree: pair sums of
+  // adjacent accumulators within 128-bit lanes, then two rounds of
+  // 128-bit lane shuffles, leaving dist[t] in lane t.  On short rows
+  // (the batch sweep's 16-word screen) eight separate reductions would
+  // cost as much as the popcounts.
+  const auto pairs = [](__m512i x, __m512i y) noexcept {
+    return _mm512_add_epi64(_mm512_unpacklo_epi64(x, y),
+                            _mm512_unpackhi_epi64(x, y));
+  };
+  const auto lanes = [](__m512i x, __m512i y) noexcept {
+    return _mm512_add_epi64(_mm512_shuffle_i64x2(x, y, 0x88),
+                            _mm512_shuffle_i64x2(x, y, 0xDD));
+  };
+  _mm512_storeu_si512(dist, lanes(lanes(pairs(a0, a1), pairs(a2, a3)),
+                                  lanes(pairs(a4, a5), pairs(a6, a7))));
 }
 
 void tile_distance_avx512(const std::uint64_t* row,

@@ -17,6 +17,7 @@
 #include "hashing/registry.hpp"
 #include "hdc/hypervector.hpp"
 #include "simd/hamming_kernel.hpp"
+#include "support/adversarial_rows.hpp"
 #include "util/rng.hpp"
 
 namespace hdhash {
@@ -28,6 +29,18 @@ std::uint64_t reference_distance(const hdc::hypervector& a,
   std::uint64_t distance = 0;
   for (std::size_t i = 0; i < a.dim(); ++i) {
     distance += a.test(i) != b.test(i);
+  }
+  return distance;
+}
+
+/// Bit-by-bit reference over raw words, for word sub-ranges.
+std::uint64_t reference_distance(const std::uint64_t* a,
+                                 const std::uint64_t* b, std::size_t words) {
+  std::uint64_t distance = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::size_t bit = 0; bit < 64; ++bit) {
+      distance += ((a[w] >> bit) & 1) != ((b[w] >> bit) & 1);
+    }
   }
   return distance;
 }
@@ -113,6 +126,46 @@ TEST_P(KernelConformanceTest, TileDistanceMatchesPerProbeDistance) {
       }
     }
   }
+
+  // Word sub-ranges, as the pruned batch sweep scores rows in chunks:
+  // offset pointers, any start word, short lengths (0 included).  Each
+  // operand ends exactly at its sub-range, so under ASan any read past
+  // `words` is an error.
+  for (const std::size_t start : {0, 1, 3, 7, 8, 15, 16, 141}) {
+    for (std::size_t len = 0; len <= 17; ++len) {
+      const auto random_words = [&] {
+        std::vector<std::uint64_t> v(start + len);
+        for (std::uint64_t& w : v) {
+          w = rng();
+        }
+        return v;
+      };
+      const std::vector<std::uint64_t> row = random_words();
+      std::vector<std::vector<std::uint64_t>> probe_store;
+      std::array<const std::uint64_t*, simd::kMaxTile> probes{};
+      for (std::size_t t = 0; t < simd::kMaxTile; ++t) {
+        probe_store.push_back(random_words());
+        probes[t] = probe_store.back().data() + start;
+      }
+      for (std::size_t t = 0; t < simd::kMaxTile; ++t) {
+        EXPECT_EQ(kernel.distance(row.data() + start, probes[t], len),
+                  reference_distance(row.data() + start, probes[t], len))
+            << kernel.name << " start=" << start << " len=" << len;
+      }
+      for (std::size_t tile = 1; tile <= simd::kMaxTile; ++tile) {
+        std::array<std::uint64_t, simd::kMaxTile> dist{};
+        dist.fill(~0ULL);  // a zero-length call must still write 0
+        kernel.tile_distance(row.data() + start, probes.data(), tile, len,
+                             dist.data());
+        for (std::size_t t = 0; t < tile; ++t) {
+          EXPECT_EQ(dist[t],
+                    reference_distance(row.data() + start, probes[t], len))
+              << kernel.name << " start=" << start << " len=" << len
+              << " tile=" << tile << " t=" << t;
+        }
+      }
+    }
+  }
 }
 
 TEST_P(KernelConformanceTest, LookupBatchWinnersMatchScalarKernel) {
@@ -143,6 +196,26 @@ TEST_P(KernelConformanceTest, LookupBatchWinnersMatchScalarKernel) {
   // same kernel.
   for (std::size_t i = 0; i < requests.size(); ++i) {
     EXPECT_EQ(table.lookup(requests[i]), expected[i]);
+  }
+
+  // Adversarial item memories (support/adversarial_rows.hpp): the pruned
+  // sweep under the kernel on test against the exhaustive lookup()
+  // under the scalar kernel.
+  for (const testing::adversarial_case& c : testing::adversarial_cases()) {
+    hd_table adversarial = testing::make_adversarial_table(c);
+    for (std::size_t phase = 0; phase < testing::kAdversarialPhases;
+         ++phase) {
+      testing::apply_adversarial_phase(adversarial, phase, requests, 0xFA17);
+      ASSERT_TRUE(simd::set_active_kernel("scalar"));
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        expected[i] = adversarial.lookup(requests[i]);
+      }
+      ASSERT_TRUE(simd::set_active_kernel(GetParam()->name));
+      adversarial.lookup_batch(requests, actual);
+      EXPECT_EQ(actual, expected)
+          << "kernel " << GetParam()->name << " " << c.label() << " phase "
+          << phase;
+    }
   }
 }
 

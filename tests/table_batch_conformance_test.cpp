@@ -4,6 +4,8 @@
 /// scalar path's (possibly corrupted) answers bit for bit.  This is the
 /// contract that lets the emulator and experiment drivers feed batches
 /// everywhere without changing any measured result.
+#include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "fault/injector.hpp"
 #include "hashing/registry.hpp"
 #include "hashing/splitmix_hash.hpp"
+#include "support/adversarial_rows.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 
@@ -189,6 +192,88 @@ TEST(BatchHdTest, WeightedPoolConforms) {
   table->lookup_batch(requests, batched);
   for (std::size_t i = 0; i < requests.size(); ++i) {
     EXPECT_EQ(batched[i], table->lookup(requests[i]));
+  }
+}
+
+TEST(BatchHdTest, RepeatedSlotsOutOfSlotOrderAnswerInRequestOrder) {
+  // lookup_batch decodes its misses in circle-slot order; the answers
+  // must still come back in request order, for repeated slots reached
+  // through distinct requests, with cache hits and misses interleaved.
+  for (const bool slot_cache : {false, true}) {
+    hd_table_config config;
+    config.dimension = 2048;
+    config.capacity = 256;
+    config.slot_cache = slot_cache;
+    hd_table table(default_hash(), config);
+    for (server_id s = 1; s <= 20; ++s) {
+      table.join(s * 131);
+    }
+    std::map<std::size_t, std::vector<request_id>> by_slot;
+    for (const request_id r : request_block(3000, 0x0dd)) {
+      by_slot[table.encoder().slot_of(r)].push_back(r);
+    }
+    // Descending slots, each reached by up to three distinct requests,
+    // interleaved so that no slot's requests are adjacent.
+    std::vector<std::vector<request_id>> groups;
+    for (auto it = by_slot.rbegin(); it != by_slot.rend(); ++it) {
+      if (it->second.size() >= 2) {
+        groups.push_back(it->second);
+      }
+    }
+    ASSERT_GE(groups.size(), 30u);
+    std::vector<request_id> block;
+    for (std::size_t round = 0; round < 3; ++round) {
+      for (const auto& group : groups) {
+        block.push_back(group[round % group.size()]);
+      }
+    }
+    ASSERT_FALSE(std::is_sorted(
+        block.begin(), block.end(), [&](request_id a, request_id b) {
+          return table.encoder().slot_of(a) < table.encoder().slot_of(b);
+        }));
+    if (slot_cache) {
+      for (std::size_t i = 0; i < groups.size(); i += 2) {
+        table.lookup(groups[i].front());  // every other slot is a hit
+      }
+    }
+    std::vector<server_id> batched(block.size());
+    table.lookup_batch(block, batched);
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      EXPECT_EQ(batched[i], table.lookup(block[i]))
+          << "slot_cache=" << slot_cache << " request " << i;
+    }
+  }
+}
+
+/// The pruned batch sweep against the exhaustive lookup() on item
+/// memories rewritten to defeat partial-distance pruning (see
+/// support/adversarial_rows.hpp), over pools, dimensions and rules.
+class BatchHdAdversarialTest
+    : public ::testing::TestWithParam<testing::adversarial_case> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    PoolsDimensionsRules, BatchHdAdversarialTest,
+    ::testing::ValuesIn(testing::adversarial_cases()), [](const auto& info) {
+      std::string name = info.param.label();
+      for (char& c : name) {
+        if (c == ' ' || c == '=') c = '_';
+      }
+      return name;
+    });
+
+TEST_P(BatchHdAdversarialTest, PrunedSweepMatchesExhaustiveLookup) {
+  const testing::adversarial_case c = GetParam();
+  hd_table table = testing::make_adversarial_table(c);
+  const auto requests = request_block(c.pool >= 64 ? 400 : 800, 0xad5e);
+  for (std::size_t phase = 0; phase < testing::kAdversarialPhases; ++phase) {
+    testing::apply_adversarial_phase(table, phase, requests, 0x5eed);
+    std::vector<server_id> batched(requests.size());
+    table.lookup_batch(requests, batched);
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      mismatches += batched[i] != table.lookup(requests[i]);
+    }
+    EXPECT_EQ(mismatches, 0u) << c.label() << " phase " << phase;
   }
 }
 
