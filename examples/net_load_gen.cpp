@@ -7,13 +7,15 @@
 ///
 /// `--join K` first sends a JOIN burst (server ids 1..K) over a
 /// control connection, so the generator can drive a freshly started
-/// empty server end to end.
+/// empty server end to end.  `--help` prints the usage; an unknown
+/// flag or a bad value exits 2 without connecting.
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
-#include "exp/sharded.hpp"
+#include "cli_flags.hpp"
 #include "net/load_gen.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
@@ -24,35 +26,15 @@
 
 namespace {
 
-std::size_t flag_value(int argc, char** argv, const std::string& name,
-                       std::size_t fallback) {
-  const std::string prefix = name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == name && i + 1 < argc) {
-      return hdhash::parse_positive_value(argv[i + 1]);
-    }
-    if (arg.rfind(prefix, 0) == 0) {
-      return hdhash::parse_positive_value(arg.c_str() + prefix.size());
-    }
-  }
-  return fallback;
-}
-
-std::string flag_text(int argc, char** argv, const std::string& name,
-                      const std::string& fallback) {
-  const std::string prefix = name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == name && i + 1 < argc) {
-      return argv[i + 1];
-    }
-    if (arg.rfind(prefix, 0) == 0) {
-      return arg.substr(prefix.size());
-    }
-  }
-  return fallback;
-}
+constexpr std::string_view kUsage =
+    "usage: net_load_gen [--port P] [--host A] [--connections N]\n"
+    "                    [--requests N] [--pipeline N] [--join K]\n"
+    "  --port P         server port, 1..65535 (default 7700)\n"
+    "  --host A         server address (default 127.0.0.1)\n"
+    "  --connections N  pipelined connections (default 8)\n"
+    "  --requests N     ROUTE requests per connection (default 25000)\n"
+    "  --pipeline N     requests in flight per connection (default 128)\n"
+    "  --join K         JOIN servers 1..K first (default: no JOIN)\n";
 
 /// Sends `JOIN 1..K` over one blocking control connection and checks
 /// every reply parses (duplicate joins answer -ERR, which is fine when
@@ -113,18 +95,17 @@ bool join_burst(const std::string& host, std::uint16_t port,
 
 int main(int argc, char** argv) {
   using namespace hdhash;
+  const examples::cli_flags flags(argc, argv, kUsage,
+                                  {"--port", "--host", "--connections",
+                                   "--requests", "--pipeline", "--join"});
   net::load_gen_config config;
-  config.host = flag_text(argc, argv, "--host", "127.0.0.1");
-  const std::size_t port = flag_value(argc, argv, "--port", 7700);
-  if (port == 0 || port > 65535) {
-    std::fprintf(stderr, "--port needs a value in [1, 65535]\n");
-    return 1;
-  }
-  config.port = static_cast<std::uint16_t>(port);
-  config.connections = flag_value(argc, argv, "--connections", 8);
-  config.requests_per_connection = flag_value(argc, argv, "--requests", 25000);
-  config.pipeline_depth = flag_value(argc, argv, "--pipeline", 128);
-  const std::size_t join_servers = flag_value(argc, argv, "--join", 0);
+  config.host = flags.text("--host", "127.0.0.1");
+  config.port =
+      static_cast<std::uint16_t>(flags.positive("--port", 7700, 65535));
+  config.connections = flags.positive("--connections", 8);
+  config.requests_per_connection = flags.positive("--requests", 25000);
+  config.pipeline_depth = flags.positive("--pipeline", 128);
+  const std::size_t join_servers = flags.positive("--join", 0);
 
   if (join_servers > 0 &&
       !join_burst(config.host, config.port, join_servers)) {

@@ -8,17 +8,21 @@
 /// Binds 127.0.0.1:7700 by default, pre-joins K servers (ids 1..K) so
 /// ROUTE works immediately, then serves until SIGINT/SIGTERM — at
 /// which point it drains connections gracefully and prints the final
-/// counters.  Drive it with examples/net_load_gen or netcat:
+/// counters.  `--help` prints the usage; an unknown flag or a bad value
+/// exits 2 without binding.  Drive it with examples/net_load_gen or
+/// netcat:
 ///
 ///   $ printf 'PING\r\nROUTE 7\r\nSTATS\r\n' | nc 127.0.0.1 7700
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <thread>
 
+#include "cli_flags.hpp"
 #include "exp/factory.hpp"
-#include "exp/sharded.hpp"
+#include "exp/emulator_options.hpp"
 #include "net/server.hpp"
 #include "runtime/cpu_topology.hpp"
 #include "runtime/placement_plan.hpp"
@@ -29,42 +33,37 @@ volatile std::sig_atomic_t g_stop = 0;
 
 extern "C" void handle_stop_signal(int) { g_stop = 1; }
 
-/// `--name N` / `--name=N` → parsed positive value; fallback otherwise.
-std::size_t flag_value(int argc, char** argv, const std::string& name,
-                       std::size_t fallback) {
-  const std::string prefix = name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == name && i + 1 < argc) {
-      return hdhash::parse_positive_value(argv[i + 1]);
-    }
-    if (arg.rfind(prefix, 0) == 0) {
-      return hdhash::parse_positive_value(arg.c_str() + prefix.size());
-    }
-  }
-  return fallback;
-}
+constexpr std::string_view kUsage =
+    "usage: net_server [--port P] [--io N] [--shards N|auto] [--servers K]\n"
+    "                  [--pin none|compact|scatter|smt-aware]\n"
+    "                  [--channel ring|mutex]\n"
+    "  --port P     TCP port on 127.0.0.1, 1..65535 (default 7700)\n"
+    "  --io N       io reactor threads (default: one per four cores)\n"
+    "  --shards N   shard decode workers, or auto (default auto)\n"
+    "  --servers K  servers pre-joined as ids 1..K (default 48)\n"
+    "  --pin P      worker placement policy (default per HDHASH_PIN)\n"
+    "  --channel C  shard channel kind (default per HDHASH_CHANNEL)\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace hdhash;
-  if (!net::net_server::supported()) {
-    std::fprintf(stderr, "net_server: epoll reactor unsupported here\n");
-    return 1;
-  }
+  const examples::cli_flags flags(
+      argc, argv, kUsage,
+      {"--port", "--io", "--shards", "--servers", "--pin", "--channel"});
+  const std::size_t port = flags.positive("--port", 7700, 65535);
+  const std::size_t io_requested = flags.positive("--io", 0);
+  const std::size_t servers = flags.positive("--servers", 48);
   const emulator_options opts = parse_emulator_options(argc, argv);
   if (!opts.ok()) {
-    for (const std::string& error : opts.errors) {
-      std::fprintf(stderr, "%s\n", error.c_str());
+    std::string message = opts.errors.front();
+    for (std::size_t e = 1; e < opts.errors.size(); ++e) {
+      message += "; " + opts.errors[e];
     }
-    return 1;
+    flags.fail(message);
   }
-  const std::size_t port = flag_value(argc, argv, "--port", 7700);
-  const std::size_t io_requested = flag_value(argc, argv, "--io", 0);
-  const std::size_t servers = flag_value(argc, argv, "--servers", 48);
-  if (port > 65535) {
-    std::fprintf(stderr, "--port needs a value in [1, 65535]\n");
+  if (!net::net_server::supported()) {
+    std::fprintf(stderr, "net_server: epoll reactor unsupported here\n");
     return 1;
   }
 

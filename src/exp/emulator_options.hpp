@@ -8,8 +8,7 @@
 /// (`parse_shards_flag`, `parse_pin_flag`, `parse_replicated_flag`,
 /// plus per-bench env-var plumbing), so drivers drifted: some knew
 /// `--shards auto`, some did not; error wording differed; new knobs
-/// meant touching every main().  This parser replaces them (the old
-/// helpers survive as deprecated shims over it, see exp/sharded.hpp):
+/// meant touching every main().  This parser replaces them:
 ///
 ///  * unknown flags are *ignored* — every driver has its own extra
 ///    flags (`--json`, `--requests`, `--connections`, …) and parses

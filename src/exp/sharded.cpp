@@ -20,52 +20,6 @@ std::vector<std::size_t> shard_count_sweep(std::size_t max_shards) {
   return counts;
 }
 
-// Deprecated shims: each re-runs the unified parser and projects out
-// its one flag, so old drivers see exactly the historical structs while
-// all parsing logic lives in exp/emulator_options.cpp.  (Suppressing
-// the self-deprecation warning on the definitions only.)
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-bool parse_replicated_flag(int argc, char** argv) {
-  return parse_emulator_options(argc, argv).membership ==
-         membership_mode::replicated;
-}
-
-shards_flag parse_shards_flag(int argc, char** argv) {
-  const emulator_options opts = parse_emulator_options(argc, argv);
-  shards_flag flag;
-  flag.present = opts.shards_set;
-  flag.value = opts.shards;
-  flag.auto_sized = opts.shards_auto;
-  return flag;
-}
-
-pin_flag parse_pin_flag(int argc, char** argv) {
-  const emulator_options opts = parse_emulator_options(argc, argv);
-  pin_flag flag;
-  flag.present = opts.placement_set;
-  // The unified parser keeps the default policy on a malformed value
-  // and records the problem in errors; the historical struct reported
-  // the same condition as present-but-invalid.
-  flag.valid = opts.placement_set;
-  for (const std::string& error : opts.errors) {
-    if (error.rfind("--pin", 0) == 0) {
-      flag.valid = false;
-    }
-  }
-  if (flag.valid) {
-    flag.policy = opts.placement;
-  }
-  return flag;
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 std::vector<shard_sweep_point> run_shard_sweep(std::string_view algorithm,
                                                const shard_sweep_config& config,
                                                const table_options& options) {

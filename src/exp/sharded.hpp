@@ -93,48 +93,6 @@ std::vector<shard_sweep_point> run_shard_sweep(std::string_view algorithm,
 /// straight from --shards).
 std::vector<std::size_t> shard_count_sweep(std::size_t max_shards);
 
-// ---------------------------------------------------------------------
-// Deprecated per-flag scanners.  All emulator flags now parse through
-// one surface — `parse_emulator_options` (exp/emulator_options.hpp) —
-// which also knows `--producers` and `--channel` and collects every
-// malformed flag into one error list.  These shims (wrappers over the
-// unified parser) keep old out-of-tree drivers compiling.
-
-/// Result of scanning argv for `--shards`: distinguishes "not asked
-/// for" from "asked for but malformed" so drivers can error loudly
-/// instead of silently skipping the panel the user requested.
-struct shards_flag {
-  bool present = false;   ///< the flag appeared on the command line
-  std::size_t value = 0;  ///< parsed count; 0 when absent or invalid
-  /// The value was the literal `auto`: sized to the host topology via
-  /// runtime::auto_shard_count (value carries the resolved count).
-  bool auto_sized = false;
-};
-
-/// \deprecated Use parse_emulator_options() — its `shards_set` /
-/// `shards_auto` / `shards` fields carry the same information.
-[[deprecated("use parse_emulator_options (exp/emulator_options.hpp)")]]
-shards_flag parse_shards_flag(int argc, char** argv);
-
-/// Result of scanning argv for `--pin <policy>` / `--pin=<policy>`:
-/// distinguishes absent (use the default policy) from present-but-
-/// unknown (drivers error loudly, listing the valid names).
-struct pin_flag {
-  bool present = false;  ///< the flag appeared on the command line
-  bool valid = false;    ///< its value parsed as a placement policy
-  runtime::placement_policy policy = runtime::placement_policy::none;
-};
-
-/// \deprecated Use parse_emulator_options() — its `placement_set` /
-/// `placement` fields (plus `errors`) carry the same information.
-[[deprecated("use parse_emulator_options (exp/emulator_options.hpp)")]]
-pin_flag parse_pin_flag(int argc, char** argv);
-
-/// \deprecated Use parse_emulator_options() — its `membership` field
-/// reports replicated when the flag is present.
-[[deprecated("use parse_emulator_options (exp/emulator_options.hpp)")]]
-bool parse_replicated_flag(int argc, char** argv);
-
 // parse_positive_value lives in exp/emulator_options.hpp now (it is a
 // generic strict CLI integer parser, not an emulator knob) and is
 // re-exported here by the include above.

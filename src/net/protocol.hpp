@@ -38,10 +38,20 @@
 /// the connection.  Framing violations (a line exceeding
 /// `max_line_bytes` — flood or binary garbage) are *fatal*: the parser
 /// latches `failed()` and the owner must close the connection.
+///
+/// Both per-request steps on the server's io thread touch each byte
+/// once.  `wire_parser::next` finds the line end, then makes one
+/// left-to-right pass over the line that checks for control bytes,
+/// splits the tokens and parses the id as it goes (eight digits per
+/// step while they last); only a JOIN weight goes to `from_chars`.
+/// The reply side writes `:`, the `to_chars` digits and CRLF straight
+/// into the output buffer: `encode_route_replies` grows it once for a
+/// whole batch of answers.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -107,6 +117,10 @@ class wire_parser {
 void encode_ok(std::string& out);
 void encode_pong(std::string& out);
 void encode_route_reply(std::string& out, std::uint64_t server);
+/// Appends one ROUTE reply per answer, in order — the same bytes as
+/// encode_route_reply() on each, with one buffer growth for the batch.
+void encode_route_replies(std::string& out,
+                          std::span<const std::uint64_t> servers);
 void encode_error(std::string& out, std::string_view message);
 void encode_bulk(std::string& out, std::string_view payload);
 

@@ -340,9 +340,7 @@ void net_server::impl::flush_replies(connection& conn) {
           encode_error(conn.outbuf, "routing failed");
         }
       } else {
-        for (const server_id server : item.ticket->answers) {
-          encode_route_reply(conn.outbuf, server);
-        }
+        encode_route_replies(conn.outbuf, item.ticket->answers);
       }
     } else {
       conn.outbuf.append(item.immediate);

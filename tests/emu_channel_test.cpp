@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "emu/batch_channel.hpp"
 #include "emu/buffer_pool.hpp"
 #include "emu/ingest.hpp"
 #include "emu/spsc_ring.hpp"
@@ -438,40 +437,6 @@ TEST_P(IngestMeshTortureTest, MeshCloseUnblocksStalledProducers) {
   }
   EXPECT_EQ(threw.load(), static_cast<int>(kProducers));
 }
-
-// ---------------------------------------------------------------------
-// The deprecated batch_channel shim still honors the historical API —
-// minus the deadlock: push after close now fails loudly.
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-TEST(BatchChannelShimTest, PushPopRecycleRoundTrip) {
-  batch_channel<std::vector<int>> channel;
-  channel.push({1, 2, 3});
-  std::vector<int> batch;
-  ASSERT_TRUE(channel.pop(batch));
-  EXPECT_EQ(batch, (std::vector<int>{1, 2, 3}));
-  channel.recycle(std::move(batch));
-  std::vector<int> reused;
-  EXPECT_TRUE(channel.take_recycled(reused));
-  channel.close();
-  EXPECT_FALSE(channel.pop(reused));
-}
-
-TEST(BatchChannelShimTest, PushAfterCloseThrowsInsteadOfDeadlocking) {
-  batch_channel<std::vector<int>> channel;
-  channel.push({1});
-  channel.push({2});  // full at the historical depth of 2
-  channel.close();
-  EXPECT_THROW(channel.push({3}), channel_closed);
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 }  // namespace
 }  // namespace hdhash

@@ -1,6 +1,5 @@
 /// The unified emulator flag parser (exp/emulator_options.hpp): flag
-/// forms, auto sizing, error collection, apply() onto sharded_config,
-/// and the deprecated per-flag shims it replaced.
+/// forms, auto sizing, error collection and apply() onto sharded_config.
 #include "exp/emulator_options.hpp"
 
 #include <gtest/gtest.h>
@@ -176,45 +175,6 @@ TEST(EmulatorOptionsTest, ParsePositiveValueIsStrict) {
   EXPECT_EQ(parse_positive_value(""), 0u);
   EXPECT_EQ(parse_positive_value("12abc"), 0u);
 }
-
-// The deprecated shims must keep their historical semantics while
-// delegating to the unified parser.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-TEST(DeprecatedFlagShimsTest, ProjectTheUnifiedParser) {
-  std::vector<const char*> args = {"driver", "--shards=4", "--pin=compact",
-                                   "--replicated"};
-  const int argc = static_cast<int>(args.size());
-  char** argv = const_cast<char**>(const_cast<const char**>(args.data()));
-
-  const shards_flag shards = parse_shards_flag(argc, argv);
-  EXPECT_TRUE(shards.present);
-  EXPECT_EQ(shards.value, 4u);
-  EXPECT_FALSE(shards.auto_sized);
-
-  const pin_flag pin = parse_pin_flag(argc, argv);
-  EXPECT_TRUE(pin.present);
-  EXPECT_TRUE(pin.valid);
-  EXPECT_EQ(pin.policy, runtime::placement_policy::compact);
-
-  EXPECT_TRUE(parse_replicated_flag(argc, argv));
-}
-
-TEST(DeprecatedFlagShimsTest, MalformedPinReportsInvalid) {
-  std::vector<const char*> args = {"driver", "--pin=everywhere"};
-  const pin_flag pin = parse_pin_flag(
-      static_cast<int>(args.size()),
-      const_cast<char**>(const_cast<const char**>(args.data())));
-  EXPECT_TRUE(pin.present);
-  EXPECT_FALSE(pin.valid);
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 }  // namespace
 }  // namespace hdhash

@@ -5,7 +5,11 @@
 /// ASan/UBSan CI lanes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "net/protocol.hpp"
@@ -195,6 +199,237 @@ TEST(WireParser, BufferCompactionPreservesTheStream) {
   }
   EXPECT_EQ(parsed, 10'000u);
   EXPECT_EQ(parser.buffered(), 0u);
+}
+
+/// Parses one complete line on a fresh parser; returns the result and
+/// leaves the command or error in `cmd` / `message`.
+parse_result parse_line(std::string_view line, wire_command& cmd,
+                        std::string& message) {
+  wire_parser parser;
+  parser.feed(line);
+  const parse_result result = parser.next(cmd);
+  message = parser.error_message();
+  EXPECT_FALSE(parser.failed()) << line;
+  EXPECT_EQ(parser.buffered(), 0u) << line;
+  return result;
+}
+
+TEST(WireParserEdges, LongIdsParseUpToTheUint64Limit) {
+  wire_command cmd;
+  std::string message;
+  ASSERT_EQ(parse_line("ROUTE 1234567890123456789\r\n", cmd, message),
+            parse_result::command);  // 19 digits
+  EXPECT_EQ(cmd.id, 1234567890123456789ull);
+  ASSERT_EQ(parse_line("ROUTE 18446744073709551615\r\n", cmd, message),
+            parse_result::command);  // 20 digits, 2^64 - 1
+  EXPECT_EQ(cmd.id, 18446744073709551615ull);
+  ASSERT_EQ(parse_line("ROUTE 10000000000000000000\r\n", cmd, message),
+            parse_result::command);  // 20 digits, 10^19
+  EXPECT_EQ(cmd.id, 10000000000000000000ull);
+  for (const std::string_view line :
+       {"ROUTE 18446744073709551616\r\n",     // 2^64
+        "ROUTE 99999999999999999999\r\n",     // 20 digits, overflows
+        "ROUTE 100000000000000000000\r\n",    // 21 digits
+        "ROUTE 000000000000000000001\r\n"}) { // 21 digits, value 1
+    EXPECT_EQ(parse_line(line, cmd, message), parse_result::error) << line;
+    EXPECT_EQ(message, "ROUTE needs one decimal id") << line;
+  }
+}
+
+TEST(WireParserEdges, LeadingZerosAreDecimal) {
+  wire_command cmd;
+  std::string message;
+  ASSERT_EQ(parse_line("ROUTE 007\r\n", cmd, message), parse_result::command);
+  EXPECT_EQ(cmd.kind, command_kind::route);
+  EXPECT_EQ(cmd.id, 7u);
+  ASSERT_EQ(parse_line("ROUTE 0\r\n", cmd, message), parse_result::command);
+  EXPECT_EQ(cmd.id, 0u);
+  ASSERT_EQ(parse_line("ROUTE 00000000000000000042\r\n", cmd, message),
+            parse_result::command);  // 20 digits
+  EXPECT_EQ(cmd.id, 42u);
+  ASSERT_EQ(parse_line("LEAVE 0009\r\n", cmd, message),
+            parse_result::command);
+  EXPECT_EQ(cmd.kind, command_kind::leave);
+  EXPECT_EQ(cmd.id, 9u);
+}
+
+TEST(WireParserEdges, ControlBytesAndTabs) {
+  wire_command cmd;
+  std::string message;
+  // Only the last CR before LF is a terminator; an earlier one is data.
+  EXPECT_EQ(parse_line("ROUTE 12\r\r\n", cmd, message), parse_result::error);
+  EXPECT_EQ(message, "control byte inside command");
+  EXPECT_EQ(parse_line(std::string_view("ROUTE 1\0002\r\n", 11), cmd,
+                       message),
+            parse_result::error);
+  EXPECT_EQ(message, "control byte inside command");
+  // A NUL wins over every later check: separators, verb, arity.
+  EXPECT_EQ(parse_line(std::string_view("NOPE  1 2 3\0\r\n", 14), cmd,
+                       message),
+            parse_result::error);
+  EXPECT_EQ(message, "control byte inside command");
+  EXPECT_EQ(parse_line("PI\rNG\r\n", cmd, message), parse_result::error);
+  EXPECT_EQ(message, "control byte inside command");
+  // A tab is not a control byte here: it is just not a digit.
+  EXPECT_EQ(parse_line("ROUTE 1\t2\r\n", cmd, message), parse_result::error);
+  EXPECT_EQ(message, "ROUTE needs one decimal id");
+  EXPECT_EQ(parse_line("ROUTE\t1\r\n", cmd, message), parse_result::error);
+  EXPECT_EQ(message, "unknown command");
+}
+
+TEST(WireParserEdges, VerbsAreCaseSensitive) {
+  wire_command cmd;
+  std::string message;
+  for (const std::string_view line :
+       {"route 1\r\n", "Ping\r\n", "join 1\r\n", "ROUTEX 1\r\n", "PIN\r\n",
+        "STATSS\r\n", "LEAV 1\r\n", "JOINS 1\r\n"}) {
+    EXPECT_EQ(parse_line(line, cmd, message), parse_result::error) << line;
+    EXPECT_EQ(message, "unknown command") << line;
+  }
+}
+
+TEST(WireParserEdges, SeparatorsAndArity) {
+  wire_command cmd;
+  std::string message;
+  for (const std::string_view line :
+       {"ROUTE  1\r\n", "ROUTE 1 \r\n", "PING \r\n", " ROUTE 1\r\n",
+        "JOIN 1  2\r\n", "JOIN 1 2 3\r\n", "BOGUS a b c\r\n", " \r\n",
+        "  \n"}) {
+    EXPECT_EQ(parse_line(line, cmd, message), parse_result::error) << line;
+    EXPECT_EQ(message, "malformed token separators") << line;
+  }
+  EXPECT_EQ(parse_line("ROUTE\r\n", cmd, message), parse_result::error);
+  EXPECT_EQ(message, "ROUTE needs one decimal id");
+  EXPECT_EQ(parse_line("ROUTE 1 2\r\n", cmd, message), parse_result::error);
+  EXPECT_EQ(message, "ROUTE needs one decimal id");
+  EXPECT_EQ(parse_line("LEAVE 1 2\r\n", cmd, message), parse_result::error);
+  EXPECT_EQ(message, "LEAVE needs one decimal id");
+  EXPECT_EQ(parse_line("JOIN\r\n", cmd, message), parse_result::error);
+  EXPECT_EQ(message, "JOIN needs a decimal id and optional weight > 0");
+  EXPECT_EQ(parse_line("PING x\r\n", cmd, message), parse_result::error);
+  EXPECT_EQ(message, "PING takes no arguments");
+  EXPECT_EQ(parse_line("STATS x y\r\n", cmd, message), parse_result::error);
+  EXPECT_EQ(message, "STATS takes no arguments");
+  EXPECT_EQ(parse_line("\n", cmd, message), parse_result::error);
+  EXPECT_EQ(message, "empty command");
+  EXPECT_EQ(parse_line("ROUTE +1\r\n", cmd, message), parse_result::error);
+  EXPECT_EQ(message, "ROUTE needs one decimal id");
+}
+
+TEST(WireParserEdges, JoinWeights) {
+  wire_command cmd;
+  std::string message;
+  ASSERT_EQ(parse_line("JOIN 3 1.5\r\n", cmd, message),
+            parse_result::command);
+  EXPECT_EQ(cmd.kind, command_kind::join);
+  EXPECT_EQ(cmd.id, 3u);
+  EXPECT_DOUBLE_EQ(cmd.weight, 1.5);
+  ASSERT_EQ(parse_line("JOIN 3 1e2\r\n", cmd, message),
+            parse_result::command);
+  EXPECT_DOUBLE_EQ(cmd.weight, 100.0);
+  for (const std::string_view line :
+       {"JOIN 3 -1\r\n", "JOIN 3 +1\r\n", "JOIN 3 0\r\n", "JOIN 3 0.0\r\n",
+        "JOIN 3 1.5x\r\n", "JOIN 3 nan\r\n", "JOIN x 1\r\n"}) {
+    EXPECT_EQ(parse_line(line, cmd, message), parse_result::error) << line;
+    EXPECT_EQ(message, "JOIN needs a decimal id and optional weight > 0")
+        << line;
+  }
+}
+
+/// One pull's observable outcome, for comparing whole parses.
+struct pulled {
+  parse_result result;
+  command_kind kind;
+  std::uint64_t id;
+  double weight;
+  std::string error;
+  bool operator==(const pulled&) const = default;
+};
+
+TEST(WireParserEdges, MixedPipelineSplitAtEveryOffset) {
+  const std::string stream =
+      "PING\r\nROUTE 18446744073709551615\r\nJOIN 7 2.5\r\nroute 1\r\n"
+      "ROUTE 12\r\r\nLEAVE 7\nROUTE  3\r\nSTATS\r\nJOIN 8 -1\r\n"
+      "ROUTE 007\r\n\r\nROUTE 18446744073709551616\r\nPING\n";
+  const auto pull = [](wire_parser& parser, std::vector<pulled>& out) {
+    wire_command cmd;
+    for (;;) {
+      const parse_result r = parser.next(cmd);
+      if (r == parse_result::need_more) {
+        return;
+      }
+      out.push_back(r == parse_result::command
+                        ? pulled{r, cmd.kind, cmd.id, cmd.weight, {}}
+                        : pulled{r, {}, 0, 0.0, parser.error_message()});
+    }
+  };
+  wire_parser whole;
+  whole.feed(stream);
+  std::vector<pulled> expected;
+  pull(whole, expected);
+  ASSERT_EQ(expected.size(), 13u);
+  EXPECT_EQ(std::count_if(expected.begin(), expected.end(),
+                          [](const pulled& p) {
+                            return p.result == parse_result::error;
+                          }),
+            6);
+  for (std::size_t split = 0; split <= stream.size(); ++split) {
+    wire_parser parser;
+    std::vector<pulled> got;
+    parser.feed(std::string_view(stream).substr(0, split));
+    pull(parser, got);
+    parser.feed(std::string_view(stream).substr(split));
+    pull(parser, got);
+    EXPECT_EQ(got, expected) << "split at " << split;
+    EXPECT_EQ(parser.buffered(), 0u);
+    EXPECT_FALSE(parser.failed());
+  }
+}
+
+// --- reply encoding ----------------------------------------------------
+
+TEST(ReplyEncoding, RouteRepliesAreByteExactAndRoundTrip) {
+  const std::vector<std::pair<std::uint64_t, std::string>> cases = {
+      {0, ":0\r\n"},
+      {9, ":9\r\n"},
+      {10, ":10\r\n"},
+      {4294967296ull, ":4294967296\r\n"},
+      {18446744073709551615ull, ":18446744073709551615\r\n"},
+  };
+  for (const auto& [server, bytes] : cases) {
+    std::string out = "+OK\r\n";  // appends, never overwrites
+    encode_route_reply(out, server);
+    EXPECT_EQ(out, "+OK\r\n" + bytes) << server;
+    reply_parser parser;
+    parser.feed(bytes);
+    wire_reply reply;
+    ASSERT_EQ(parser.next(reply), parse_result::command) << server;
+    EXPECT_EQ(reply.type, wire_reply::kind::integer);
+    EXPECT_EQ(reply.value, server);
+    EXPECT_EQ(parser.next(reply), parse_result::need_more);
+  }
+}
+
+TEST(ReplyEncoding, TicketOfAnswersMatchesOneByOneEncoding) {
+  // A 128-answer ticket, every digit count from 1 to 20 represented.
+  std::vector<std::uint64_t> answers;
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < 128; ++i) {
+    answers.push_back(value);
+    value = value * 7 + 3 + i;  // wraps around: large and small values
+  }
+  answers[5] = 18446744073709551615ull;
+  answers[6] = 10000000000000000000ull;
+  std::string expected = "$3\r\nabc\r\n";
+  std::string flushed = expected;
+  for (const std::uint64_t server : answers) {
+    encode_route_reply(expected, server);
+  }
+  encode_route_replies(flushed, answers);
+  EXPECT_EQ(flushed, expected);
+  std::string empty;
+  encode_route_replies(empty, {});
+  EXPECT_TRUE(empty.empty());
 }
 
 // --- reply side --------------------------------------------------------
