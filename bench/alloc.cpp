@@ -108,8 +108,8 @@ struct churn_result {
   std::string backing;
 };
 
-/// Epoch publish/drain churn: the allocator round-trip the slab/arena
-/// free lists absorb.  Smaller table — the cost measured here is the
+/// Epoch publish/drain churn: the allocator round-trip the arena free
+/// lists absorb.  Smaller table — the cost measured here is the
 /// snapshot bookkeeping, not the row sweep.
 churn_result measure_snapshot_churn(bool arena_rows) {
   const hash64& hash = hash_by_name("xxhash64");

@@ -4,17 +4,20 @@
 /// scripts/check_bench.py, which prints the ring-vs-mutex speedup per
 /// scenario).
 ///
-/// Scenarios, each run under both `channel_kind`s:
-///  * ping-pong — two depth-1 channels between two threads, an item
-///    bouncing back and forth: round-trip hand-off latency, the number
-///    that dominates the shallow (depth-2) emulator channels;
-///  * stream 1x1 — one producer saturating one consumer through a deep
-///    channel: steady-state hand-off throughput (items/s);
-///  * mesh MxN — M producer threads streaming at N consumer threads
-///    through the full ingest_mesh (M x N lanes, round-robin consumer
-///    scan): aggregate delivered items/s with every thread of the
-///    sharded pipeline's ingest side live.  --producers/--shards set
-///    M and N (defaults 2x2).
+/// Scenarios:
+///  * ping-pong (ring and mutex) — two depth-1 channels between two
+///    threads, an item bouncing back and forth: round-trip hand-off
+///    latency, the number that dominates the shallow (depth-2)
+///    emulator channels;
+///  * stream 1x1 (ring and mutex) — one producer saturating one
+///    consumer through a deep channel: steady-state hand-off
+///    throughput (items/s);
+///  * mesh MxN (ring only: the mesh's lanes are rings) — M producer
+///    threads streaming at N consumer threads through the full
+///    ingest_mesh (M x N lanes, round-robin consumer scan): aggregate
+///    delivered items/s with every thread of the sharded pipeline's
+///    ingest side live.  --producers/--shards set M and N (defaults
+///    2x2).
 ///
 /// On a single-core runner the stream/mesh numbers compress (producer
 /// and consumer time-slice one CPU and the backoff ladder's sleeps
@@ -29,6 +32,7 @@
 
 #include "emu/channel.hpp"
 #include "emu/ingest.hpp"
+#include "emu/spsc_ring.hpp"
 #include "exp/emulator_options.hpp"
 #include "runtime/cpu_topology.hpp"
 #include "util/table_printer.hpp"
@@ -53,7 +57,7 @@ class stopwatch {
 
 struct scenario_result {
   std::string scenario;
-  channel_kind kind = channel_kind::ring;
+  std::string kind;  ///< "ring" or "mutex"
   std::size_t producers = 1;
   std::size_t consumers = 1;
   std::uint64_t items = 0;
@@ -61,11 +65,12 @@ struct scenario_result {
   double items_per_second = 0.0;
 };
 
-scenario_result run_ping_pong(channel_kind kind, std::uint64_t rounds) {
+template <typename Channel>
+scenario_result run_ping_pong(const char* kind, std::uint64_t rounds) {
   // Two depth-1 channels: the caller thread serves, the echo thread
   // returns.  Every round trip is two full hand-offs.
-  shard_channel<std::uint64_t> out(kind, 1);
-  shard_channel<std::uint64_t> back(kind, 1);
+  Channel out(1);
+  Channel back(1);
   std::thread echo([&] {
     std::uint64_t token = 0;
     while (out.pop(token)) {
@@ -93,9 +98,10 @@ scenario_result run_ping_pong(channel_kind kind, std::uint64_t rounds) {
   return result;
 }
 
-scenario_result run_stream(channel_kind kind, std::uint64_t items,
+template <typename Channel>
+scenario_result run_stream(const char* kind, std::uint64_t items,
                            std::size_t capacity) {
-  shard_channel<std::uint64_t> channel(kind, capacity);
+  Channel channel(capacity);
   std::uint64_t checksum = 0;
   std::thread consumer([&] {
     std::uint64_t item = 0;
@@ -123,10 +129,10 @@ scenario_result run_stream(channel_kind kind, std::uint64_t items,
   return result;
 }
 
-scenario_result run_mesh(channel_kind kind, std::size_t producers,
-                         std::size_t shards, std::uint64_t items_per_producer,
+scenario_result run_mesh(std::size_t producers, std::size_t shards,
+                         std::uint64_t items_per_producer,
                          std::size_t capacity) {
-  ingest_mesh<std::uint64_t> mesh(producers, shards, capacity, kind);
+  ingest_mesh<std::uint64_t> mesh(producers, shards, capacity);
   std::vector<std::uint64_t> checksums(shards, 0);
   std::vector<std::thread> threads;
 
@@ -166,7 +172,7 @@ scenario_result run_mesh(channel_kind kind, std::size_t producers,
   scenario_result result;
   result.scenario = "mesh_" + std::to_string(producers) + "x" +
                     std::to_string(shards);
-  result.kind = kind;
+  result.kind = "ring";
   result.producers = producers;
   result.consumers = shards;
   result.items = items;
@@ -220,18 +226,21 @@ int main(int argc, char** argv) {
       kMeshCapacity, topo.physical_cores(), topo.allowed_cpus().size(),
       topo.numa_nodes());
 
-  std::vector<scenario_result> results;
-  for (const channel_kind kind : {channel_kind::mutex, channel_kind::ring}) {
-    results.push_back(run_ping_pong(kind, rounds));
-    results.push_back(run_stream(kind, items, kStreamCapacity));
-    results.push_back(run_mesh(kind, mesh_producers, mesh_shards,
-                               items / mesh_producers, kMeshCapacity));
-  }
+  using mutex_lane = mutex_channel<std::uint64_t>;
+  using ring_lane = spsc_ring<std::uint64_t>;
+  const std::vector<scenario_result> results = {
+      run_ping_pong<mutex_lane>("mutex", rounds),
+      run_stream<mutex_lane>("mutex", items, kStreamCapacity),
+      run_ping_pong<ring_lane>("ring", rounds),
+      run_stream<ring_lane>("ring", items, kStreamCapacity),
+      run_mesh(mesh_producers, mesh_shards, items / mesh_producers,
+               kMeshCapacity),
+  };
 
   table_printer table(
       {"scenario", "kind", "threads", "items", "wall s", "items/s"});
   for (const scenario_result& r : results) {
-    table.add_row({r.scenario, std::string(to_string(r.kind)),
+    table.add_row({r.scenario, r.kind,
                    std::to_string(r.producers + r.consumers),
                    std::to_string(r.items), format_double(r.wall_seconds, 3),
                    format_double(r.items_per_second, 0)});
@@ -241,11 +250,11 @@ int main(int argc, char** argv) {
   // Ring-vs-mutex speedup per scenario: the number check_bench prints.
   std::printf("\nring vs mutex:\n");
   for (const scenario_result& r : results) {
-    if (r.kind != channel_kind::ring) {
+    if (r.kind != "ring") {
       continue;
     }
     for (const scenario_result& m : results) {
-      if (m.kind == channel_kind::mutex && m.scenario == r.scenario &&
+      if (m.kind == "mutex" && m.scenario == r.scenario &&
           m.items_per_second > 0.0) {
         std::printf("  %-10s x%.2f\n", r.scenario.c_str(),
                     r.items_per_second / m.items_per_second);
@@ -277,7 +286,7 @@ int main(int argc, char** argv) {
                  "    {\"scenario\": \"%s\", \"kind\": \"%s\", "
                  "\"producers\": %zu, \"consumers\": %zu, \"items\": %llu, "
                  "\"wall_seconds\": %.6f, \"items_per_second\": %.0f}%s\n",
-                 r.scenario.c_str(), std::string(to_string(r.kind)).c_str(),
+                 r.scenario.c_str(), r.kind.c_str(),
                  r.producers, r.consumers,
                  static_cast<unsigned long long>(r.items), r.wall_seconds,
                  r.items_per_second, i + 1 < results.size() ? "," : "");

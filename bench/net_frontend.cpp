@@ -67,7 +67,6 @@ int main(int argc, char** argv) {
   config.io_threads = split.io_threads;
   config.shards = split.shards;
   config.placement = opts.placement;
-  config.channel = opts.channel;
 
   table_options options;
   options.hd.capacity = 512;
@@ -79,20 +78,16 @@ int main(int argc, char** argv) {
     server.router().join(static_cast<server_id>(s));
   }
 
-  const net::io_backend_probe& probe = server.probe();
   std::printf(
       "== Net front-end throughput (hd-hierarchical, %zu servers) ==\n"
       "loopback 127.0.0.1:%u — %zu connection(s) x %zu request(s), "
       "pipeline %zu\n"
-      "io threads %zu, shards %zu, placement %s, backend %s "
-      "(io_uring probe: %s)\n"
+      "io threads %zu, shards %zu, placement %s\n"
       "topology: %zu physical core(s), %zu allowed CPU(s), "
       "%zu NUMA node(s)\n",
       servers, server.port(), connections, requests_per_connection,
       pipeline_depth, config.io_threads, config.shards,
       std::string(runtime::to_string(config.placement)).c_str(),
-      std::string(net::to_string(server.backend())).c_str(),
-      probe.uring_supported ? "supported" : "unsupported",
       topo.physical_cores(), topo.allowed_cpus().size(), topo.numa_nodes());
   std::fflush(stdout);
 
@@ -149,8 +144,6 @@ int main(int argc, char** argv) {
       "  \"pipeline_depth\": %zu,\n"
       "  \"io_threads\": %zu,\n"
       "  \"shards\": %zu,\n"
-      "  \"io_backend\": \"%s\",\n"
-      "  \"io_uring_supported\": %s,\n"
       "  \"placement_policy\": \"%s\",\n"
       "  \"hardware_cores\": %u,\n"
       "  \"topology\": {\"packages\": %zu, \"numa_nodes\": %zu, "
@@ -164,8 +157,6 @@ int main(int argc, char** argv) {
       "}\n",
       servers, connections, requests_per_connection, pipeline_depth,
       config.io_threads, config.shards,
-      std::string(net::to_string(server.backend())).c_str(),
-      probe.uring_supported ? "true" : "false",
       std::string(runtime::to_string(config.placement)).c_str(),
       std::thread::hardware_concurrency(), topo.packages(), topo.numa_nodes(),
       topo.physical_cores(), topo.logical_cpus(), topo.allowed_cpus().size(),

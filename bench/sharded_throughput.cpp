@@ -60,7 +60,6 @@ using namespace hdhash;
 shard_sweep_config sweep_config(std::size_t requests, double churn,
                                 membership_mode membership,
                                 runtime::placement_policy placement,
-                                channel_kind channel,
                                 std::size_t producers = 1) {
   shard_sweep_config config;
   config.shard_counts = {1, 2, 4, 8, 16};
@@ -69,7 +68,6 @@ shard_sweep_config sweep_config(std::size_t requests, double churn,
   config.churn_rate = churn;
   config.membership = membership;
   config.placement = placement;
-  config.channel = channel;
   config.producers = producers;
   return config;
 }
@@ -179,7 +177,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   const runtime::placement_policy policy = opts.placement;
-  const channel_kind channel = opts.channel;
   // The multi-producer series runs M pinned producer threads feeding
   // the SPSC ingest mesh; --producers overrides the default of 2.
   const std::size_t multi_producers =
@@ -187,26 +184,25 @@ int main(int argc, char** argv) {
 
   const runtime::cpu_topology& topo = runtime::host_topology();
   const auto snap =
-      sweep_config(requests, 0.0, membership_mode::snapshot, policy, channel);
+      sweep_config(requests, 0.0, membership_mode::snapshot, policy);
   std::printf(
       "== Sharded emulator throughput (hd-hierarchical, %zu servers,\n"
-      "   %zu requests, per-shard batch %zu, %s channels) ==\n"
+      "   %zu requests, per-shard batch %zu) ==\n"
       "topology: %zu package(s), %zu NUMA node(s), %zu physical core(s),\n"
       "   %zu logical CPU(s), %zu allowed by cpuset; pinning %s\n",
-      snap.servers, snap.requests, snap.buffer_capacity,
-      std::string(to_string(channel)).c_str(), topo.packages(),
+      snap.servers, snap.requests, snap.buffer_capacity, topo.packages(),
       topo.numa_nodes(), topo.physical_cores(), topo.logical_cpus(),
       topo.allowed_cpus().size(),
       runtime::worker_pool::pinning_supported() ? "supported" : "unsupported");
 
   const auto snap_churn =
-      sweep_config(requests, 0.01, membership_mode::snapshot, policy, channel);
-  const auto repl = sweep_config(requests, 0.0, membership_mode::replicated,
-                                 policy, channel);
-  const auto repl_churn = sweep_config(
-      requests, 0.01, membership_mode::replicated, policy, channel);
+      sweep_config(requests, 0.01, membership_mode::snapshot, policy);
+  const auto repl =
+      sweep_config(requests, 0.0, membership_mode::replicated, policy);
+  const auto repl_churn =
+      sweep_config(requests, 0.01, membership_mode::replicated, policy);
   const auto multi = sweep_config(requests, 0.0, membership_mode::snapshot,
-                                  policy, channel, multi_producers);
+                                  policy, multi_producers);
 
   const auto snap_series = run_and_print(snap, "request traffic only");
   const auto snap_churn_series =
@@ -226,8 +222,7 @@ int main(int argc, char** argv) {
           ? snap_series
           : run_and_print(sweep_config(requests, 0.0,
                                        membership_mode::snapshot,
-                                       runtime::placement_policy::none,
-                                       channel),
+                                       runtime::placement_policy::none),
                           "request traffic only, unpinned");
   std::printf(
       "\nAggregate req/s sums each shard's service rate on its own CPU\n"
@@ -255,7 +250,6 @@ int main(int argc, char** argv) {
                "  \"results_membership_mode\": \"snapshot\",\n"
                "  \"results_churn_rate\": %.4f,\n"
                "  \"shard_buffer_capacity\": %zu,\n"
-               "  \"channel\": \"%s\",\n"
                "  \"multi_producer_count\": %zu,\n"
                "  \"placement_policy\": \"%s\",\n"
                "  \"hardware_cores\": %u,\n"
@@ -264,8 +258,7 @@ int main(int argc, char** argv) {
                "\"allowed_cpus\": %zu, \"smt_per_core\": %zu, "
                "\"pinning_supported\": %s, \"from_sysfs\": %s},\n",
                snap.servers, snap.requests, snap_churn.churn_rate,
-               snap.buffer_capacity, std::string(to_string(channel)).c_str(),
-               multi_producers,
+               snap.buffer_capacity, multi_producers,
                std::string(runtime::to_string(policy)).c_str(),
                std::thread::hardware_concurrency(), topo.packages(),
                topo.numa_nodes(), topo.physical_cores(), topo.logical_cpus(),

@@ -3,7 +3,6 @@
 ///
 ///   net_server [--port P] [--io N] [--shards N|auto] [--servers K]
 ///              [--pin <none|compact|scatter|smt-aware>]
-///              [--channel <ring|mutex>]
 ///
 /// Binds 127.0.0.1:7700 by default, pre-joins K servers (ids 1..K) so
 /// ROUTE works immediately, then serves until SIGINT/SIGTERM — at
@@ -36,13 +35,11 @@ extern "C" void handle_stop_signal(int) { g_stop = 1; }
 constexpr std::string_view kUsage =
     "usage: net_server [--port P] [--io N] [--shards N|auto] [--servers K]\n"
     "                  [--pin none|compact|scatter|smt-aware]\n"
-    "                  [--channel ring|mutex]\n"
     "  --port P     TCP port on 127.0.0.1, 1..65535 (default 7700)\n"
     "  --io N       io reactor threads (default: one per four cores)\n"
     "  --shards N   shard decode workers, or auto (default auto)\n"
     "  --servers K  servers pre-joined as ids 1..K (default 48)\n"
-    "  --pin P      worker placement policy (default per HDHASH_PIN)\n"
-    "  --channel C  shard channel kind (default per HDHASH_CHANNEL)\n";
+    "  --pin P      worker placement policy (default per HDHASH_PIN)\n";
 
 }  // namespace
 
@@ -50,7 +47,7 @@ int main(int argc, char** argv) {
   using namespace hdhash;
   const examples::cli_flags flags(
       argc, argv, kUsage,
-      {"--port", "--io", "--shards", "--servers", "--pin", "--channel"});
+      {"--port", "--io", "--shards", "--servers", "--pin"});
   const std::size_t port = flags.positive("--port", 7700, 65535);
   const std::size_t io_requested = flags.positive("--io", 0);
   const std::size_t servers = flags.positive("--servers", 48);
@@ -78,7 +75,6 @@ int main(int argc, char** argv) {
   config.shards = opts.shards_set && !opts.shards_auto ? opts.shards
                                                        : split.shards;
   config.placement = opts.placement;
-  config.channel = opts.channel;
 
   table_options options;
   options.hd.dimension = 4096;
@@ -91,17 +87,14 @@ int main(int argc, char** argv) {
     server.router().join(static_cast<server_id>(s));
   }
 
-  const net::io_backend_probe& probe = server.probe();
   std::printf(
       "hdhash net_server listening on %s:%u\n"
       "  io threads %zu, shards %zu, placement %s\n"
-      "  backend %s (io_uring probe: %s), %zu server(s) pre-joined\n"
+      "  %zu server(s) pre-joined\n"
       "  stop with SIGINT/SIGTERM (graceful drain)\n",
       server.config().bind_address.c_str(), server.port(),
       config.io_threads, config.shards,
-      std::string(runtime::to_string(config.placement)).c_str(),
-      std::string(net::to_string(server.backend())).c_str(),
-      probe.uring_supported ? "supported" : "unsupported", servers);
+      std::string(runtime::to_string(config.placement)).c_str(), servers);
   std::fflush(stdout);
 
   std::signal(SIGINT, handle_stop_signal);

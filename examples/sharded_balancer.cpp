@@ -34,7 +34,7 @@
 int main(int argc, char** argv) {
   using namespace hdhash;
   // One parser for every emulator knob: --shards N|auto, --producers
-  // M|auto, --pin <policy>, --replicated, --channel ring|mutex.
+  // M|auto, --pin <policy>, --replicated, --mem, --scenario.
   const emulator_options opts = parse_emulator_options(argc, argv);
   if (!opts.ok()) {
     for (const std::string& error : opts.errors) {
@@ -53,12 +53,12 @@ int main(int argc, char** argv) {
                         : "Zipf traffic, 1% churn";
   std::printf(
       "== Sharded balancer: %s, hd-hierarchical,\n"
-      "   %s membership%s, placement %s, %zu producer(s), %s channels ==\n"
+      "   %s membership%s, placement %s, %zu producer(s) ==\n"
       "   (topology: %zu core(s), %zu allowed CPU(s), %zu NUMA node(s)%s)\n\n",
       workload_label.c_str(), replicated ? "replicated" : "snapshot",
       replicated ? "" : " (pass --replicated for the PR-2 pipeline)",
       std::string(runtime::to_string(opts.placement)).c_str(), opts.producers,
-      std::string(to_string(opts.channel)).c_str(), topo.physical_cores(),
+      topo.physical_cores(),
       topo.allowed_cpus().size(), topo.numa_nodes(),
       opts.shards_auto ? ", --shards auto" : "");
 

@@ -146,7 +146,9 @@ def is_channel(doc: dict) -> bool:
 
 def report_channel(base: dict, fresh: dict) -> int:
     """Report-only comparison of two channel JSONs (exit 0): per-scenario
-    ring-vs-mutex speedup, baseline vs fresh."""
+    ring-vs-mutex speedup, baseline vs fresh.  A scenario with no mutex
+    row (the ingest mesh, whose lanes are rings only) is reported as its
+    ring rate in items/s instead."""
     print("check_bench: channel hand-off trajectory — report only, never "
           "gated (thread hand-off latency on shared runners)")
     topo = fresh.get("topology", {})
@@ -158,7 +160,9 @@ def report_channel(base: dict, fresh: dict) -> int:
             f"{topo.get('numa_nodes', '?')} NUMA node(s)"
         )
 
-    def speedups(doc: dict) -> dict:
+    def ring_figures(doc: dict) -> dict:
+        """scenario -> ("speedup", ring/mutex) when the scenario has a
+        mutex row, else ("rate", ring items/s)."""
         rates: dict = {}
         for entry in doc.get("results", []):
             if not isinstance(entry, dict):
@@ -169,24 +173,37 @@ def report_channel(base: dict, fresh: dict) -> int:
         for (scenario, kind), rate in rates.items():
             if kind != "ring":
                 continue
-            mutex_rate = rates.get((scenario, "mutex"), 0.0)
-            out[scenario] = rate / mutex_rate if mutex_rate else 0.0
+            mutex_rate = rates.get((scenario, "mutex"))
+            if mutex_rate:
+                out[scenario] = ("speedup", rate / mutex_rate)
+            else:
+                out[scenario] = ("rate", rate)
         return out
 
-    base_speedups = speedups(base)
-    fresh_speedups = speedups(fresh)
-    for scenario in sorted(set(base_speedups) | set(fresh_speedups)):
-        b = base_speedups.get(scenario)
-        f = fresh_speedups.get(scenario)
+    def describe(figure: tuple) -> str:
+        kind, value = figure
+        return f"x{value:.2f}" if kind == "speedup" else f"{value:.0f} items/s"
+
+    base_figures = ring_figures(base)
+    fresh_figures = ring_figures(fresh)
+    for scenario in sorted(set(base_figures) | set(fresh_figures)):
+        b = base_figures.get(scenario)
+        f = fresh_figures.get(scenario)
         if f is None:
             print(f"  note: fresh run lacks scenario {scenario}")
             continue
-        base_note = f"baseline x{b:.2f} -> " if b is not None else ""
-        marker = "ok" if f >= 1.0 else "note"
-        print(
-            f"  [{marker:4s}] {scenario}: {base_note}ring is x{f:.2f} "
-            f"the mutex rate"
-        )
+        base_note = f"baseline {describe(b)} -> " if b is not None else ""
+        if f[0] == "speedup":
+            marker = "ok" if f[1] >= 1.0 else "note"
+            print(
+                f"  [{marker:4s}] {scenario}: {base_note}ring is "
+                f"{describe(f)} the mutex rate"
+            )
+        else:
+            print(
+                f"  [ok  ] {scenario}: {base_note}ring delivers "
+                f"{describe(f)} (no mutex row)"
+            )
     print("check_bench: channel trajectory accepted (not gated)")
     return 0
 
@@ -331,9 +348,7 @@ def report_net(base: dict, fresh: dict, sharded_ref: dict | None) -> int:
             f"{topo.get('physical_cores', '?')} physical core(s), "
             f"{topo.get('allowed_cpus', '?')} allowed CPU(s), "
             f"io_threads {fresh.get('io_threads', '?')}, "
-            f"shards {fresh.get('shards', '?')}, "
-            f"backend {fresh.get('io_backend', '?')} "
-            f"(io_uring {'available' if fresh.get('io_uring_supported') else 'unavailable'})"
+            f"shards {fresh.get('shards', '?')}"
         )
     base_results = base.get("results", {})
     fresh_results = fresh.get("results", {})

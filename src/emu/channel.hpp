@@ -1,7 +1,7 @@
 /// \file channel.hpp
-/// \brief The shard-channel concept: the unified bounded hand-off
-/// surface every ingest pipeline (sharded emulator, stream router, net
-/// front-end) builds on, with two interchangeable implementations.
+/// \brief The shard-channel concept: the bounded hand-off surface every
+/// ingest pipeline (sharded emulator, stream router, net front-end)
+/// builds on, and its mutex reference implementation.
 ///
 /// A *shard channel* is a bounded SPSC hand-off between exactly one
 /// producer thread and exactly one consumer thread.  The contract,
@@ -26,20 +26,17 @@
 ///
 ///  * `spsc_ring` (emu/spsc_ring.hpp) — lock-free cache-line-padded
 ///    bounded ring (acquire/release atomics, power-of-two capacity,
-///    cached-cursor publication).  The default for every hot pipeline.
+///    cached-cursor publication).  Every pipeline hands off through it
+///    (the lanes of emu/ingest.hpp's mesh).
 ///  * `mutex_channel` (this header) — mutex + condvar deque.  The
-///    portable reference implementation and the conformance baseline;
-///    also tolerates multiple pushers (the rings do not).
+///    portable reference the conformance suite and bench_channel
+///    measure the ring against; also tolerates multiple pushers (the
+///    ring does not).
 ///
-/// `shard_channel` wraps either behind one type, selected at run time
-/// by `channel_kind` — pipelines pick per configuration (`--channel
-/// ring|mutex`, HDHASH_CHANNEL), and the torture suite runs every test
-/// against both.
-///
-/// Buffer recycling is deliberately *not* part of the channel concept
-/// anymore: the producer/consumer memory round-trip lives in the
-/// standalone `buffer_pool` (emu/buffer_pool.hpp), so hand-off and
-/// recycling are separate, individually testable APIs.
+/// Buffer recycling is deliberately *not* part of the channel concept:
+/// the producer/consumer memory round-trip lives in the standalone
+/// `buffer_pool` (emu/buffer_pool.hpp), so hand-off and recycling are
+/// separate, individually testable APIs.
 #pragma once
 
 #include <chrono>
@@ -48,9 +45,7 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
-#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -80,25 +75,6 @@ enum class pop_status : std::uint8_t {
   empty,   ///< nothing queued right now (channel still open)
   closed,  ///< closed *and* drained — no item will ever arrive again
 };
-
-/// Which shard-channel implementation a pipeline hands batches through.
-enum class channel_kind : std::uint8_t {
-  ring,   ///< lock-free bounded SPSC ring (emu/spsc_ring.hpp)
-  mutex,  ///< mutex + condvar deque (the portable reference)
-};
-
-/// Canonical CLI/JSON name ("ring", "mutex").
-std::string_view to_string(channel_kind kind) noexcept;
-
-/// Parses a channel-kind name; std::nullopt for unknown names (callers
-/// decide whether to fail loudly or fall back).
-std::optional<channel_kind> parse_channel_kind(std::string_view name);
-
-/// Process-wide default: `ring`, overridable with the HDHASH_CHANNEL
-/// environment variable (ring|mutex).  An unknown value fails loudly
-/// (hdhash::precondition_error) rather than silently switching
-/// implementations — the HDHASH_FORCE_KERNEL / HDHASH_PIN convention.
-channel_kind default_channel_kind();
 
 namespace detail {
 

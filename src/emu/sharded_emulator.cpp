@@ -6,7 +6,6 @@
 
 #include "emu/buffer_pool.hpp"
 #include "emu/ingest.hpp"
-#include "hashing/splitmix_hash.hpp"
 #include "mem/hugepage_arena.hpp"
 #include "util/require.hpp"
 
@@ -15,9 +14,9 @@ namespace hdhash {
 namespace {
 
 // The producer/worker hand-off runs on the M×N ingest mesh
-// (emu/ingest.hpp): one bounded shard channel per (producer, shard)
-// pair — lock-free SPSC rings by default — plus one buffer_pool per
-// shard for the first-touch recycle round-trip.  The payload is the
+// (emu/ingest.hpp): one bounded lock-free SPSC ring per (producer,
+// shard) pair, plus one buffer_pool per shard for the first-touch
+// recycle round-trip.  The payload is the
 // mode's batch type: a plain event vector (replicated) or an
 // epoch-segmented request batch (snapshot).
 
@@ -125,10 +124,10 @@ void answer_segment(const epoch_segment& segment, run_stats& stats,
 template <typename Batch, typename MakeRecycled, typename Reset,
           typename Decode, typename Produce>
 void run_mesh(runtime::worker_pool& pool, std::size_t shards,
-              std::size_t producers, channel_kind kind, std::size_t depth,
+              std::size_t producers, std::size_t depth,
               MakeRecycled&& make_recycled, Reset&& reset, Decode&& decode,
               Produce&& produce) {
-  ingest_mesh<Batch> mesh(producers, shards, depth, kind);
+  ingest_mesh<Batch> mesh(producers, shards, depth);
   std::vector<buffer_pool<Batch>> pools(shards);
   std::vector<std::exception_ptr> errors(shards);
 
@@ -283,8 +282,7 @@ sharded_emulator::sharded_emulator(table_factory factory,
 }
 
 std::size_t sharded_emulator::shard_of(request_id request) const {
-  return static_cast<std::size_t>(
-      splitmix_hash::mix(request ^ config_.partition_seed) % config_.shards);
+  return partition_shard(request, config_.shards);
 }
 
 dynamic_table& sharded_emulator::table(std::size_t shard) {
@@ -300,7 +298,6 @@ sharded_report sharded_emulator::run(std::span<const event> events) {
                               ? run_snapshot(events)
                               : run_replicated(events);
   report.placement = pool_->policy();
-  report.channel = config_.channel;
   report.workers.reserve(config_.shards);
   for (std::size_t s = 0; s < config_.shards; ++s) {
     report.workers.push_back(pool_->info(s));
@@ -341,7 +338,7 @@ sharded_report sharded_emulator::run_replicated(std::span<const event> events) {
       config_.timing ? timing_mode::thread_cpu : timing_mode::off;
   const std::size_t capacity = config_.buffer_capacity;
   run_mesh<std::vector<event>>(
-      *pool_, shards, /*producers=*/1, config_.channel, config_.channel_depth,
+      *pool_, shards, /*producers=*/1, config_.channel_depth,
       [capacity](std::size_t) {
         // resize-then-clear: writes every slot (first-touch on the
         // worker's node) and keeps the capacity for refills.
@@ -505,7 +502,7 @@ sharded_report sharded_emulator::run_snapshot(std::span<const event> events) {
       config_.timing ? timing_mode::thread_cpu : timing_mode::off;
   const std::size_t capacity = config_.buffer_capacity;
   run_mesh<epoch_batch>(
-      *pool_, shards, producers, config_.channel, config_.channel_depth,
+      *pool_, shards, producers, config_.channel_depth,
       [capacity, &answers, &truth](std::size_t s) {
         // One pre-touched segment per recycled batch; under churn a
         // batch grows more segments on demand (reused in place after

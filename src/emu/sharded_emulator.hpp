@@ -9,16 +9,14 @@
 /// per sharded_config::placement — compact by default, so workers sit
 /// on distinct CPUs in NUMA-node order and first-touch their channel
 /// buffers and scratch on their own node), fed through an M-producer ×
-/// N-shard ingest mesh (emu/ingest.hpp) of bounded shard channels —
-/// lock-free SPSC rings by default (emu/spsc_ring.hpp), the mutex
-/// reference under sharded_config::channel.  While a worker decodes
-/// batch i, its producers are already filling batch i+1 — the software
-/// analogue of overlapping GPU transfer with compute (double
-/// buffering); with `producers` > 1 the encode/partition side itself
-/// fans out across M pinned producer threads (snapshot mode only), so
-/// ingest scales with cores instead of flat-lining at one producer's
-/// rate.  Membership state reaches the workers in one of two modes
-/// (membership_mode):
+/// N-shard ingest mesh (emu/ingest.hpp) of bounded lock-free SPSC rings
+/// (emu/spsc_ring.hpp).  While a worker decodes batch i, its producers
+/// are already filling batch i+1 — the software analogue of overlapping
+/// GPU transfer with compute (double buffering); with `producers` > 1
+/// the encode/partition side itself fans out across M pinned producer
+/// threads (snapshot mode only), so ingest scales with cores instead of
+/// flat-lining at one producer's rate.  Membership state reaches the
+/// workers in one of two modes (membership_mode):
 ///
 ///  * snapshot (default) — the producer owns the single mutable table
 ///    behind a snapshot_publisher (emu/snapshot.hpp); join/leave apply
@@ -64,7 +62,6 @@
 #include <span>
 #include <vector>
 
-#include "emu/channel.hpp"
 #include "emu/emulator.hpp"
 #include "emu/event.hpp"
 #include "emu/snapshot.hpp"
@@ -98,12 +95,7 @@ struct sharded_config {
   /// Events buffered per shard before a batch is handed to its worker
   /// (the paper's batch size of 256 per shard).
   std::size_t buffer_capacity = 256;
-  /// Shard-channel implementation of the ingest mesh (emu/channel.hpp):
-  /// lock-free SPSC rings by default, overridable per run here or
-  /// process-wide with HDHASH_CHANNEL=ring|mutex.  Never changes
-  /// results — only how batches are handed over.
-  channel_kind channel = default_channel_kind();
-  /// Bounded per-lane channel depth: batches in flight per
+  /// Bounded per-lane ring depth: batches in flight per
   /// (producer, shard) pair before push blocks (backpressure).  2 is
   /// the classic double buffer (rings round up to a power of two).
   std::size_t channel_depth = 2;
@@ -136,8 +128,6 @@ struct sharded_config {
   /// unavailable or refused.  Placement never changes assignments:
   /// the merged histogram is bit-identical under every policy.
   runtime::placement_policy placement = runtime::default_placement_policy();
-  /// Salt of the request partition hash.
-  std::uint64_t partition_seed = 0x5A4D'ED01;
 };
 
 /// Result of one sharded run.
@@ -169,8 +159,6 @@ struct sharded_report {
   /// Post-pinning outcome per mesh producer worker.  Empty when the
   /// run produced on the calling thread (producers == 1).
   std::vector<runtime::worker_info> producer_workers;
-  /// Shard-channel implementation the mesh ran on.
-  channel_kind channel = channel_kind::ring;
 
   /// Aggregate service rate: the sum of each shard's requests divided
   /// by the time that shard spent inside lookup_batch on its own
@@ -207,7 +195,8 @@ class sharded_emulator {
   /// construct a fresh emulator per workload instead.
   sharded_report run(std::span<const event> events);
 
-  /// Shard a request id is routed to.
+  /// Shard a request id is routed to (partition_shard(), the same
+  /// split as stream_router::shard_of()).
   std::size_t shard_of(request_id request) const;
 
   const sharded_config& config() const noexcept { return config_; }

@@ -76,13 +76,6 @@ emulator_options parse_emulator_options(int argc, char** argv) {
         opts.errors.push_back(
             "--pin needs one of none|compact|scatter|smt-aware");
       }
-    } else if (const char* value = flag_value(argc, argv, &i, "--channel")) {
-      opts.channel_set = true;
-      if (const auto kind = parse_channel_kind(value)) {
-        opts.channel = *kind;
-      } else {
-        opts.errors.push_back("--channel needs one of ring|mutex");
-      }
     } else if (const char* value = flag_value(argc, argv, &i, "--mem")) {
       opts.mem_set = true;
       if (const auto request = mem::parse_mem_request(value)) {
@@ -132,9 +125,6 @@ void emulator_options::apply(sharded_config& config) const {
     config.placement = placement;
   }
   config.membership = membership;
-  if (channel_set) {
-    config.channel = channel;
-  }
   if (mem_set) {
     // Process-wide, not per-config: arenas are created when the driver
     // builds its tables, after flags are applied.

@@ -1,7 +1,7 @@
 /// \file emulator_options.hpp
 /// \brief One emulator flag surface for every driver: the parsed
 /// `emulator_options` struct behind `--shards`, `--producers`, `--pin`,
-/// `--replicated`, `--channel` and `--scenario`, consumed by the
+/// `--replicated`, `--mem` and `--scenario`, consumed by the
 /// benches, the examples and the shard-sweep driver.
 ///
 /// Each of those knobs used to have its own ad-hoc scanner
@@ -19,7 +19,7 @@
 ///  * `auto` values resolve against the discovered host topology at
 ///    parse time (`--shards auto`, `--producers auto`), the same
 ///    sizing the net server uses;
-///  * environment defaults (HDHASH_PIN, HDHASH_CHANNEL) apply exactly
+///  * environment defaults (HDHASH_PIN, HDHASH_MEM) apply exactly
 ///    when the flag is absent — a flag always wins over its env var.
 #pragma once
 
@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "emu/channel.hpp"
 #include "emu/sharded_emulator.hpp"
 #include "mem/arena_options.hpp"
 #include "runtime/placement_plan.hpp"
@@ -57,10 +56,6 @@ struct emulator_options {
 
   /// --replicated (drivers default to snapshot membership).
   membership_mode membership = membership_mode::snapshot;
-
-  /// --channel ring|mutex; default per HDHASH_CHANNEL.
-  bool channel_set = false;
-  channel_kind channel = default_channel_kind();
 
   /// --mem auto|huge|thp|page: memory backing the hot-state arenas are
   /// created under (src/mem/arena_options.hpp).  Wins over HDHASH_MEM;

@@ -72,7 +72,6 @@ std::vector<shard_sweep_point> run_shard_sweep(std::string_view algorithm,
     emu_config.membership = membership;
     emu_config.shadow = config.shadow;
     emu_config.placement = config.placement;
-    emu_config.channel = config.channel;
     sharded_emulator emu(
         [&](std::size_t) { return make_table(algorithm, sharded_opts); },
         emu_config);

@@ -32,8 +32,6 @@ struct shard_sweep_config {
   /// Mesh producer threads per point (>= 1; snapshot mode only when
   /// above 1 — see sharded_config::producers).
   std::size_t producers = 1;
-  /// Shard-channel implementation of every point's ingest mesh.
-  channel_kind channel = default_channel_kind();
   /// Membership mode of the sharded runs (the reference run is always a
   /// plain single-table emulator).  Snapshot by default — epoch-
   /// published shared state; shadow oracles work in either mode (an

@@ -130,8 +130,11 @@ placement_plan plan_placement(const cpu_topology& topology,
     return plan;  // nothing allowed: every worker stays unpinned
   }
   plan.oversubscribed = workers > order.size();
+  if (plan.oversubscribed) {
+    return plan;  // sharing CPUs: leave every worker to the scheduler
+  }
   for (std::size_t w = 0; w < workers; ++w) {
-    const logical_cpu* cpu = order[w % order.size()];
+    const logical_cpu* cpu = order[w];
     plan.workers[w].cpu = static_cast<int>(cpu->id);
     plan.workers[w].node = static_cast<int>(cpu->node);
   }

@@ -9,7 +9,10 @@
 /// consumes the plan and performs the actual pinning.
 ///
 /// Policies (all of them only ever assign CPUs from the allowed
-/// cpuset, and wrap around when workers outnumber allowed CPUs):
+/// cpuset).  When workers outnumber the allowed CPUs, no policy pins
+/// anything: wrapping around would put two spinning ring consumers on
+/// one CPU, each burning its time slice while the other holds the
+/// batch it waits for — leaving them to the scheduler is faster.
 ///
 ///  * `none`      — no pinning; workers stay wherever the OS scheduler
 ///                  puts them (the pre-runtime behaviour).
@@ -61,13 +64,13 @@ struct worker_placement {
 struct placement_plan {
   placement_policy policy = placement_policy::none;
   std::vector<worker_placement> workers;
-  /// Workers wrapped around the allowed cpuset (more workers than
-  /// allowed CPUs): at least two workers share a CPU.
+  /// More workers than allowed CPUs: every worker is left unpinned.
   bool oversubscribed = false;
 };
 
 /// Maps `workers` workers onto `topology` under `policy`.  Pure; never
-/// fails: an empty/degenerate topology yields unpinned assignments.
+/// fails: an empty/degenerate topology, or more workers than allowed
+/// CPUs, yields unpinned assignments.
 placement_plan plan_placement(const cpu_topology& topology,
                               std::size_t workers, placement_policy policy);
 

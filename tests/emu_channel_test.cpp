@@ -1,8 +1,8 @@
 /// Channel conformance and torture suite: every contract in the
 /// shard-channel concept (emu/channel.hpp), asserted against BOTH
 /// implementations — the lock-free spsc_ring and the mutex_channel
-/// reference — through the shard_channel run-time wrapper, plus the
-/// M-producer × N-shard ingest mesh and the standalone buffer_pool.
+/// reference — as a typed test, plus the M-producer × N-shard ingest
+/// mesh and the standalone buffer_pool.
 ///
 /// The threaded tests here are the TSan targets for the ingest layer
 /// (ctest -L channel): SPSC wraparound under concurrent push/pop,
@@ -13,10 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <numeric>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "emu/buffer_pool.hpp"
@@ -30,51 +30,51 @@ namespace {
 // ---------------------------------------------------------------------
 // Conformance: every contract test runs against both implementations.
 
-class ChannelConformanceTest
-    : public ::testing::TestWithParam<channel_kind> {};
+template <typename Channel>
+class ChannelConformanceTest : public ::testing::Test {};
 
-INSTANTIATE_TEST_SUITE_P(BothKinds, ChannelConformanceTest,
-                         ::testing::Values(channel_kind::ring,
-                                           channel_kind::mutex),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
-                         });
+using ChannelKinds = ::testing::Types<spsc_ring<std::uint64_t>,
+                                      mutex_channel<std::uint64_t>>;
 
-TEST_P(ChannelConformanceTest, ReportsItsKind) {
-  shard_channel<int> channel(GetParam(), 4);
-  EXPECT_EQ(channel.kind(), GetParam());
-  EXPECT_GE(channel.capacity(), 4u);
-}
-
-TEST_P(ChannelConformanceTest, FifoOrder) {
-  shard_channel<int> channel(GetParam(), 8);
-  for (int i = 0; i < 8; ++i) {
-    channel.push(int{i});
+struct ChannelKindName {
+  template <typename Channel>
+  static std::string GetName(int) {
+    return std::is_same_v<Channel, spsc_ring<std::uint64_t>> ? "ring"
+                                                             : "mutex";
   }
-  int out = -1;
-  for (int i = 0; i < 8; ++i) {
+};
+
+TYPED_TEST_SUITE(ChannelConformanceTest, ChannelKinds, ChannelKindName);
+
+TYPED_TEST(ChannelConformanceTest, FifoOrder) {
+  TypeParam channel(8);
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    channel.push(std::uint64_t{i});
+  }
+  std::uint64_t out = 99;
+  for (std::uint64_t i = 0; i < 8; ++i) {
     ASSERT_EQ(channel.try_pop(out), pop_status::ok);
     EXPECT_EQ(out, i);
   }
   EXPECT_EQ(channel.try_pop(out), pop_status::empty);
 }
 
-TEST_P(ChannelConformanceTest, TryPushReportsFullWithoutConsuming) {
-  shard_channel<int> channel(GetParam(), 2);
+TYPED_TEST(ChannelConformanceTest, TryPushReportsFullWithoutConsuming) {
+  TypeParam channel(2);
   const std::size_t capacity = channel.capacity();
   for (std::size_t i = 0; i < capacity; ++i) {
-    int item = static_cast<int>(i);
+    std::uint64_t item = i;
     ASSERT_EQ(channel.try_push(item), push_status::ok);
   }
-  int extra = 99;
+  std::uint64_t extra = 99;
   EXPECT_EQ(channel.try_push(extra), push_status::full);
-  EXPECT_EQ(extra, 99);  // untouched on full
+  EXPECT_EQ(extra, 99u);  // untouched on full
 }
 
-TEST_P(ChannelConformanceTest, SingleThreadedWraparound) {
+TYPED_TEST(ChannelConformanceTest, SingleThreadedWraparound) {
   // Many push/pop rounds through a tiny channel exercise index
   // wraparound (for the ring: free-running cursors crossing the mask).
-  shard_channel<std::uint64_t> channel(GetParam(), 2);
+  TypeParam channel(2);
   std::uint64_t out = 0;
   for (std::uint64_t round = 0; round < 1000; ++round) {
     channel.push(round * 2);
@@ -87,35 +87,35 @@ TEST_P(ChannelConformanceTest, SingleThreadedWraparound) {
   EXPECT_EQ(channel.try_pop(out), pop_status::empty);
 }
 
-TEST_P(ChannelConformanceTest, PushAfterCloseThrowsLoudly) {
-  shard_channel<int> channel(GetParam(), 4);
+TYPED_TEST(ChannelConformanceTest, PushAfterCloseThrowsLoudly) {
+  TypeParam channel(4);
   channel.push(1);
   channel.close();
   EXPECT_TRUE(channel.closed());
   EXPECT_THROW(channel.push(2), channel_closed);
-  int item = 3;
+  std::uint64_t item = 3;
   EXPECT_EQ(channel.try_push(item), push_status::closed);
 }
 
-TEST_P(ChannelConformanceTest, PopDrainsThenReportsClosed) {
-  shard_channel<int> channel(GetParam(), 4);
+TYPED_TEST(ChannelConformanceTest, PopDrainsThenReportsClosed) {
+  TypeParam channel(4);
   channel.push(7);
   channel.push(8);
   channel.close();
-  int out = -1;
+  std::uint64_t out = 0;
   EXPECT_EQ(channel.try_pop(out), pop_status::ok);
-  EXPECT_EQ(out, 7);
+  EXPECT_EQ(out, 7u);
   ASSERT_TRUE(channel.pop(out));  // blocking pop still drains
-  EXPECT_EQ(out, 8);
+  EXPECT_EQ(out, 8u);
   EXPECT_EQ(channel.try_pop(out), pop_status::closed);
   EXPECT_FALSE(channel.pop(out));
 }
 
-TEST_P(ChannelConformanceTest, CloseWhileEmptyWakesBlockedPop) {
-  shard_channel<int> channel(GetParam(), 4);
+TYPED_TEST(ChannelConformanceTest, CloseWhileEmptyWakesBlockedPop) {
+  TypeParam channel(4);
   std::atomic<bool> popped{false};
   std::thread consumer([&] {
-    int out = -1;
+    std::uint64_t out = 0;
     const bool got = channel.pop(out);  // blocks: channel is empty
     EXPECT_FALSE(got);
     popped.store(true);
@@ -131,11 +131,11 @@ TEST_P(ChannelConformanceTest, CloseWhileEmptyWakesBlockedPop) {
 // channel must wake and throw channel_closed when close() arrives —
 // the old batch_channel::push waited on a condition close() never
 // signalled and hung forever.
-TEST_P(ChannelConformanceTest, CloseWhileFullWakesBlockedPush) {
-  shard_channel<int> channel(GetParam(), 1);
+TYPED_TEST(ChannelConformanceTest, CloseWhileFullWakesBlockedPush) {
+  TypeParam channel(1);
   const std::size_t capacity = channel.capacity();
   for (std::size_t i = 0; i < capacity; ++i) {
-    channel.push(static_cast<int>(i));  // fill to the brim
+    channel.push(std::uint64_t{i});  // fill to the brim
   }
   std::atomic<bool> threw{false};
   std::thread producer([&] {
@@ -153,12 +153,12 @@ TEST_P(ChannelConformanceTest, CloseWhileFullWakesBlockedPush) {
   EXPECT_TRUE(threw.load());
 }
 
-TEST_P(ChannelConformanceTest, SpscTortureKeepsOrderAndLosesNothing) {
+TYPED_TEST(ChannelConformanceTest, SpscTortureKeepsOrderAndLosesNothing) {
   // One producer races one consumer through a tiny channel long enough
   // to wrap the ring cursors thousands of times.  FIFO means the
   // consumer must see exactly 0,1,2,...,N-1.
   constexpr std::uint64_t kItems = 200'000;
-  shard_channel<std::uint64_t> under_test(GetParam(), 4);
+  TypeParam under_test(4);
 
   std::thread producer([&] {
     for (std::uint64_t i = 0; i < kItems; ++i) {
@@ -222,28 +222,6 @@ TEST(SpscRingTest, ItemPushedBeforeCloseIsNeverDropped) {
 }
 
 // ---------------------------------------------------------------------
-// channel_kind parsing / environment selection.
-
-TEST(ChannelKindTest, NamesRoundTrip) {
-  EXPECT_EQ(to_string(channel_kind::ring), "ring");
-  EXPECT_EQ(to_string(channel_kind::mutex), "mutex");
-  EXPECT_EQ(parse_channel_kind("ring"), channel_kind::ring);
-  EXPECT_EQ(parse_channel_kind("mutex"), channel_kind::mutex);
-  EXPECT_FALSE(parse_channel_kind("lockfree").has_value());
-  EXPECT_FALSE(parse_channel_kind("").has_value());
-}
-
-TEST(ChannelKindTest, DefaultHonorsEnvironment) {
-  ::unsetenv("HDHASH_CHANNEL");
-  EXPECT_EQ(default_channel_kind(), channel_kind::ring);
-  ::setenv("HDHASH_CHANNEL", "mutex", 1);
-  EXPECT_EQ(default_channel_kind(), channel_kind::mutex);
-  ::setenv("HDHASH_CHANNEL", "bogus", 1);
-  EXPECT_THROW(default_channel_kind(), precondition_error);
-  ::unsetenv("HDHASH_CHANNEL");
-}
-
-// ---------------------------------------------------------------------
 // buffer_pool: the recycling half of the old batch_channel, standalone.
 
 TEST(BufferPoolTest, TakeFromEmptyPoolFails) {
@@ -294,6 +272,34 @@ TEST(BufferPoolTest, LifoReuseUnderManyThreads) {
   EXPECT_GT(takes.load(), 0);
 }
 
+TEST(BufferPoolTest, IsASharedLifoStack) {
+  buffer_pool<int> pool;
+  int out = 0;
+  EXPECT_FALSE(pool.take(out));  // empty pool: construct fresh
+  pool.recycle(1);
+  pool.recycle(2);
+  pool.recycle(3);
+  EXPECT_EQ(pool.size(), 3u);
+  // LIFO: the warmest (most recently recycled) buffer comes back first.
+  ASSERT_TRUE(pool.take(out));
+  EXPECT_EQ(out, 3);
+  ASSERT_TRUE(pool.take(out));
+  EXPECT_EQ(out, 2);
+  ASSERT_TRUE(pool.take(out));
+  EXPECT_EQ(out, 1);
+  EXPECT_FALSE(pool.take(out));
+}
+
+TEST(BufferPoolTest, RecycleFromAnotherThreadIsImmediatelyTakeable) {
+  buffer_pool<std::vector<int>> pool;
+  std::thread consumer([&] { pool.recycle(std::vector<int>(8, 3)); });
+  consumer.join();
+  std::vector<int> batch;
+  ASSERT_TRUE(pool.take(batch));
+  EXPECT_EQ(batch.size(), 8u);
+  EXPECT_EQ(pool.size(), 0u);
+}
+
 // ---------------------------------------------------------------------
 // The M×N ingest mesh.
 
@@ -303,7 +309,7 @@ struct tagged_item {
 };
 
 TEST(IngestMeshTest, LaneIndexingIsProducerMajor) {
-  ingest_mesh<int> mesh(2, 3, 4, channel_kind::ring);
+  ingest_mesh<int> mesh(2, 3, 4);
   EXPECT_EQ(mesh.producers(), 2u);
   EXPECT_EQ(mesh.shards(), 3u);
   mesh.lane(1, 2).push(42);
@@ -314,7 +320,7 @@ TEST(IngestMeshTest, LaneIndexingIsProducerMajor) {
 }
 
 TEST(IngestMeshTest, ConsumerClosesOnlyWhenAllLanesClose) {
-  ingest_mesh<int> mesh(2, 1, 4, channel_kind::ring);
+  ingest_mesh<int> mesh(2, 1, 4);
   auto consumer = mesh.consumer(0);
   auto session0 = mesh.session(0);
   auto session1 = mesh.session(1);
@@ -336,7 +342,7 @@ TEST(IngestMeshTest, ConsumerClosesOnlyWhenAllLanesClose) {
 TEST(IngestMeshTest, RoundRobinScanDoesNotStarveLanes) {
   // Producer 0 keeps its lane full; producer 1's items must still get
   // through within a bounded number of pops.
-  ingest_mesh<tagged_item> mesh(2, 1, 4, channel_kind::ring);
+  ingest_mesh<tagged_item> mesh(2, 1, 4);
   auto consumer = mesh.consumer(0);
   mesh.lane(0, 0).push({0, 0});
   mesh.lane(0, 0).push({0, 1});
@@ -353,16 +359,7 @@ TEST(IngestMeshTest, RoundRobinScanDoesNotStarveLanes) {
   EXPECT_TRUE(saw_producer1);
 }
 
-class IngestMeshTortureTest : public ::testing::TestWithParam<channel_kind> {};
-
-INSTANTIATE_TEST_SUITE_P(BothKinds, IngestMeshTortureTest,
-                         ::testing::Values(channel_kind::ring,
-                                           channel_kind::mutex),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
-                         });
-
-TEST_P(IngestMeshTortureTest, MxNMeshDeliversEverythingInPerProducerOrder) {
+TEST(IngestMeshTortureTest, MxNMeshDeliversEverythingInPerProducerOrder) {
   // M producer threads each stream kItems tagged items round-robin at N
   // consumer threads.  Every consumer checks per-producer FIFO (the
   // mesh's ordering guarantee) and the totals prove nothing was lost
@@ -370,7 +367,7 @@ TEST_P(IngestMeshTortureTest, MxNMeshDeliversEverythingInPerProducerOrder) {
   constexpr std::size_t kProducers = 3;
   constexpr std::size_t kShards = 2;
   constexpr std::uint64_t kItems = 20'000;
-  ingest_mesh<tagged_item> mesh(kProducers, kShards, 4, GetParam());
+  ingest_mesh<tagged_item> mesh(kProducers, kShards, 4);
 
   std::vector<std::thread> threads;
   std::atomic<std::uint64_t> delivered{0};
@@ -411,11 +408,11 @@ TEST_P(IngestMeshTortureTest, MxNMeshDeliversEverythingInPerProducerOrder) {
   EXPECT_EQ(order_faults.load(), 0);
 }
 
-TEST_P(IngestMeshTortureTest, MeshCloseUnblocksStalledProducers) {
+TEST(IngestMeshTortureTest, MeshCloseUnblocksStalledProducers) {
   // Producers blocked on full lanes (no consumer running) must all
   // wake and fail loudly when the mesh force-closes — the stop path.
   constexpr std::size_t kProducers = 2;
-  ingest_mesh<int> mesh(kProducers, 1, 1, GetParam());
+  ingest_mesh<int> mesh(kProducers, 1, 1);
   std::atomic<int> threw{0};
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {

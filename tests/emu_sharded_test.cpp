@@ -8,9 +8,12 @@
 
 #include "emu/emulator.hpp"
 #include "emu/generator.hpp"
+#include "emu/ingest.hpp"
 #include "emu/sharded_emulator.hpp"
+#include "emu/stream_router.hpp"
 #include "exp/factory.hpp"
 #include "exp/sharded.hpp"
+#include "runtime/worker_pool.hpp"
 #include "util/require.hpp"
 
 namespace hdhash {
@@ -235,26 +238,41 @@ TEST(ShardedEmulatorTest, MultiProducerMeshStaysDeterministic) {
   }
 }
 
-TEST(ShardedEmulatorTest, MutexChannelProducesIdenticalResults) {
-  // --channel mutex is the A/B reference: swapping the channel
-  // implementation must never change a single assignment, with one
-  // producer or several.
-  const generator gen(churn_workload());
-  const auto events = gen.generate();
-  auto reference_table = make_table("hd-hierarchical", fast_options());
-  emulator reference(*reference_table, 256);
-  const run_stats expected = reference.run(events);
-
-  for (const std::size_t producers : {std::size_t{1}, std::size_t{2}}) {
-    sharded_config config;
-    config.shards = 2;
-    config.producers = producers;
-    config.channel = channel_kind::mutex;
-    sharded_emulator emu(factory_for("hd-hierarchical"), config);
-    const sharded_report report = emu.run(events);
-    EXPECT_EQ(report.merged.load, expected.load) << "producers=" << producers;
-    EXPECT_EQ(report.channel, channel_kind::mutex);
+TEST(ShardedEmulatorTest, RouterAndEmulatorPartitionStreamsIdentically) {
+  // The net server (via stream_router) and the in-process emulator must
+  // send every request id to the same shard, or socket routing could
+  // not be compared shard for shard with the emulator.
+  runtime::worker_pool pool(8, runtime::placement_policy::none);
+  for (std::size_t shards = 1; shards <= 8; ++shards) {
+    sharded_config emu_config;
+    emu_config.shards = shards;
+    emu_config.placement = runtime::placement_policy::none;
+    const sharded_emulator emu(factory_for("consistent"), emu_config);
+    stream_router::config router_config;
+    router_config.shards = shards;
+    const stream_router router(make_table("consistent", fast_options()), pool,
+                               0, router_config);
+    for (request_id id = 0; id < 4000; ++id) {
+      const request_id spread = id * 0x9E37'79B9'7F4A'7C15ULL;
+      ASSERT_EQ(router.shard_of(spread), emu.shard_of(spread))
+          << "shards=" << shards << " id=" << spread;
+      ASSERT_EQ(emu.shard_of(spread), partition_shard(spread, shards));
+    }
   }
+}
+
+TEST(StreamRouterTest, MeshHasOneRowPerSession) {
+  runtime::worker_pool pool(1, runtime::placement_policy::none);
+  stream_router::config config;
+  EXPECT_EQ(config.sessions, 1u);
+  stream_router router(make_table("consistent", fast_options()), pool, 0,
+                       config);
+  router.open_session(0);
+  EXPECT_THROW(router.open_session(1), precondition_error);
+  config.sessions = 0;
+  EXPECT_THROW(stream_router(make_table("consistent", fast_options()), pool,
+                             0, config),
+               precondition_error);
 }
 
 TEST(ShardedEmulatorTest, MultiProducerSweepMatchesReference) {

@@ -27,7 +27,6 @@ emulator_options parse(std::vector<const char*> args) {
 
 TEST(EmulatorOptionsTest, DefaultsWhenNoFlagsGiven) {
   ::unsetenv("HDHASH_PIN");
-  ::unsetenv("HDHASH_CHANNEL");
   const emulator_options opts = parse({});
   EXPECT_TRUE(opts.ok());
   EXPECT_FALSE(opts.shards_set);
@@ -36,8 +35,6 @@ TEST(EmulatorOptionsTest, DefaultsWhenNoFlagsGiven) {
   EXPECT_EQ(opts.producers, 1u);
   EXPECT_FALSE(opts.placement_set);
   EXPECT_EQ(opts.membership, membership_mode::snapshot);
-  EXPECT_FALSE(opts.channel_set);
-  EXPECT_EQ(opts.channel, channel_kind::ring);
 }
 
 TEST(EmulatorOptionsTest, ParsesBothFlagForms) {
@@ -53,15 +50,12 @@ TEST(EmulatorOptionsTest, ParsesBothFlagForms) {
   EXPECT_EQ(spaced.producers, 2u);
 }
 
-TEST(EmulatorOptionsTest, ParsesMembershipPlacementAndChannel) {
-  const emulator_options opts =
-      parse({"--replicated", "--pin=scatter", "--channel=mutex"});
+TEST(EmulatorOptionsTest, ParsesMembershipAndPlacement) {
+  const emulator_options opts = parse({"--replicated", "--pin=scatter"});
   EXPECT_TRUE(opts.ok());
   EXPECT_EQ(opts.membership, membership_mode::replicated);
   EXPECT_TRUE(opts.placement_set);
   EXPECT_EQ(opts.placement, runtime::placement_policy::scatter);
-  EXPECT_TRUE(opts.channel_set);
-  EXPECT_EQ(opts.channel, channel_kind::mutex);
 }
 
 TEST(EmulatorOptionsTest, AutoValuesResolveAgainstTopology) {
@@ -103,7 +97,7 @@ TEST(EmulatorOptionsTest, UnknownFlagsAreIgnored) {
 
 TEST(EmulatorOptionsTest, CollectsEveryMalformedFlag) {
   const emulator_options opts =
-      parse({"--shards=zero", "--pin=everywhere", "--channel=lockfree"});
+      parse({"--shards=zero", "--pin=everywhere", "--mem=lots"});
   EXPECT_FALSE(opts.ok());
   EXPECT_EQ(opts.errors.size(), 3u);
 }
@@ -145,14 +139,13 @@ TEST(EmulatorOptionsTest, RejectsMultiProducerReplicated) {
 
 TEST(EmulatorOptionsTest, ApplyCopiesOntoShardedConfig) {
   const emulator_options opts =
-      parse({"--shards=4", "--producers=2", "--pin=none", "--channel=mutex"});
+      parse({"--shards=4", "--producers=2", "--pin=none"});
   ASSERT_TRUE(opts.ok());
   sharded_config config;
   opts.apply(config);
   EXPECT_EQ(config.shards, 4u);
   EXPECT_EQ(config.producers, 2u);
   EXPECT_EQ(config.placement, runtime::placement_policy::none);
-  EXPECT_EQ(config.channel, channel_kind::mutex);
   EXPECT_EQ(config.membership, membership_mode::snapshot);
 }
 

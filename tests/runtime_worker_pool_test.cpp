@@ -135,7 +135,8 @@ TEST(PlacementPlanTest, ScatterRoundRobinsAcrossNodes) {
 
 TEST(PlacementPlanTest, OnlyAllowedCpusAreAssigned) {
   // cgroup-restricted box: of the SMT shape only cpus {1, 5, 2} may
-  // run; every policy confines itself to (and wraps within) those.
+  // run; every policy confines itself to those, and leaves workers
+  // unpinned once they outnumber them.
   std::vector<logical_cpu> cpus;
   for (unsigned id = 0; id < 8; ++id) {
     cpus.push_back(
@@ -145,24 +146,38 @@ TEST(PlacementPlanTest, OnlyAllowedCpusAreAssigned) {
   for (const auto policy :
        {placement_policy::compact, placement_policy::scatter,
         placement_policy::smt_aware}) {
-    const placement_plan plan = plan_placement(topology, 5, policy);
-    EXPECT_TRUE(plan.oversubscribed);
+    const placement_plan plan = plan_placement(topology, 3, policy);
+    EXPECT_FALSE(plan.oversubscribed);
     for (const worker_placement& w : plan.workers) {
       EXPECT_TRUE(w.cpu == 1 || w.cpu == 5 || w.cpu == 2)
           << to_string(policy) << " assigned cpu " << w.cpu;
     }
+    const placement_plan over = plan_placement(topology, 5, policy);
+    EXPECT_TRUE(over.oversubscribed);
+    EXPECT_EQ(planned_cpus(over), (std::vector<int>(5, -1)))
+        << to_string(policy);
   }
-  // compact keeps core 1's siblings (1, 5) adjacent, then cpu2, wrap.
+  // compact keeps core 1's siblings (1, 5) adjacent, then cpu2.
   const placement_plan compact =
-      plan_placement(topology, 5, placement_policy::compact);
-  EXPECT_EQ(planned_cpus(compact), (std::vector<int>{1, 5, 2, 1, 5}));
+      plan_placement(topology, 3, placement_policy::compact);
+  EXPECT_EQ(planned_cpus(compact), (std::vector<int>{1, 5, 2}));
 }
 
-TEST(PlacementPlanTest, WrapsAroundWhenOversubscribed) {
+TEST(PlacementPlanTest, LeavesEveryWorkerUnpinnedWhenOversubscribed) {
+  // Wrapping around would stack spinning ring consumers on one CPU;
+  // more workers than allowed CPUs pins none of them.
   const placement_plan plan =
       plan_placement(cpu_topology::flat(2), 5, placement_policy::compact);
-  EXPECT_EQ(planned_cpus(plan), (std::vector<int>{0, 1, 0, 1, 0}));
+  EXPECT_EQ(planned_cpus(plan), (std::vector<int>{-1, -1, -1, -1, -1}));
+  for (const worker_placement& w : plan.workers) {
+    EXPECT_EQ(w.node, -1);
+  }
   EXPECT_TRUE(plan.oversubscribed);
+  // Exactly as many workers as CPUs still pins every one.
+  const placement_plan full =
+      plan_placement(cpu_topology::flat(2), 2, placement_policy::compact);
+  EXPECT_EQ(planned_cpus(full), (std::vector<int>{0, 1}));
+  EXPECT_FALSE(full.oversubscribed);
 }
 
 TEST(PlacementPlanTest, AutoShardCountReservesProducerCore) {
