@@ -10,9 +10,9 @@
 ///
 /// Policies (all of them only ever assign CPUs from the allowed
 /// cpuset).  When workers outnumber the allowed CPUs, no policy pins
-/// anything: wrapping around would put two spinning ring consumers on
-/// one CPU, each burning its time slice while the other holds the
-/// batch it waits for — leaving them to the scheduler is faster.
+/// anything: wrapping around would stack spinning ring consumers on one
+/// CPU, where each can burn its time slice waiting on a peer that
+/// cannot run; the scheduler is free to move unpinned workers.
 ///
 ///  * `none`      — no pinning; workers stay wherever the OS scheduler
 ///                  puts them (the pre-runtime behaviour).
