@@ -2,12 +2,13 @@
 /// shard-channel concept (emu/channel.hpp), asserted against BOTH
 /// implementations — the lock-free spsc_ring and the mutex_channel
 /// reference — as a typed test, plus the M-producer × N-shard ingest
-/// mesh and the standalone buffer_pool.
+/// mesh.  The buffer_pool the mesh recycles through is covered in
+/// mem_slab_test.
 ///
 /// The threaded tests here are the TSan targets for the ingest layer
 /// (ctest -L channel): SPSC wraparound under concurrent push/pop,
 /// close-while-full (the PR-7 deadlock regression), close-while-empty,
-/// cross-producer mesh interleavings, and pool recycling reuse.
+/// and cross-producer mesh interleavings.
 #include "emu/channel.hpp"
 
 #include <gtest/gtest.h>
@@ -19,7 +20,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "emu/buffer_pool.hpp"
 #include "emu/ingest.hpp"
 #include "emu/spsc_ring.hpp"
 #include "util/require.hpp"
@@ -219,85 +219,6 @@ TEST(SpscRingTest, ItemPushedBeforeCloseIsNeverDropped) {
     producer.join();
     EXPECT_EQ(got, 1);
   }
-}
-
-// ---------------------------------------------------------------------
-// buffer_pool: the recycling half of the old batch_channel, standalone.
-
-TEST(BufferPoolTest, TakeFromEmptyPoolFails) {
-  buffer_pool<std::vector<int>> pool;
-  std::vector<int> buffer;
-  EXPECT_EQ(pool.size(), 0u);
-  EXPECT_FALSE(pool.take(buffer));
-}
-
-TEST(BufferPoolTest, RecycledBufferKeepsItsAllocation) {
-  buffer_pool<std::vector<int>> pool;
-  std::vector<int> buffer;
-  buffer.reserve(1024);
-  const int* storage = buffer.data();
-  pool.recycle(std::move(buffer));
-  EXPECT_EQ(pool.size(), 1u);
-
-  std::vector<int> reused;
-  ASSERT_TRUE(pool.take(reused));
-  EXPECT_EQ(reused.data(), storage);  // same allocation came back
-  EXPECT_EQ(reused.capacity(), 1024u);
-  EXPECT_EQ(pool.size(), 0u);
-}
-
-TEST(BufferPoolTest, LifoReuseUnderManyThreads) {
-  buffer_pool<std::vector<int>> pool;
-  constexpr int kThreads = 4;
-  constexpr int kRounds = 5'000;
-  std::vector<std::thread> threads;
-  std::atomic<int> takes{0};
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kRounds; ++i) {
-        std::vector<int> buffer;
-        if (pool.take(buffer)) {
-          takes.fetch_add(1, std::memory_order_relaxed);
-        }
-        buffer.clear();
-        pool.recycle(std::move(buffer));
-      }
-    });
-  }
-  for (auto& thread : threads) {
-    thread.join();
-  }
-  // Every recycle stays in the pool, so at most kThreads buffers exist.
-  EXPECT_LE(pool.size(), static_cast<std::size_t>(kThreads));
-  EXPECT_GT(takes.load(), 0);
-}
-
-TEST(BufferPoolTest, IsASharedLifoStack) {
-  buffer_pool<int> pool;
-  int out = 0;
-  EXPECT_FALSE(pool.take(out));  // empty pool: construct fresh
-  pool.recycle(1);
-  pool.recycle(2);
-  pool.recycle(3);
-  EXPECT_EQ(pool.size(), 3u);
-  // LIFO: the warmest (most recently recycled) buffer comes back first.
-  ASSERT_TRUE(pool.take(out));
-  EXPECT_EQ(out, 3);
-  ASSERT_TRUE(pool.take(out));
-  EXPECT_EQ(out, 2);
-  ASSERT_TRUE(pool.take(out));
-  EXPECT_EQ(out, 1);
-  EXPECT_FALSE(pool.take(out));
-}
-
-TEST(BufferPoolTest, RecycleFromAnotherThreadIsImmediatelyTakeable) {
-  buffer_pool<std::vector<int>> pool;
-  std::thread consumer([&] { pool.recycle(std::vector<int>(8, 3)); });
-  consumer.join();
-  std::vector<int> batch;
-  ASSERT_TRUE(pool.take(batch));
-  EXPECT_EQ(batch.size(), 8u);
-  EXPECT_EQ(pool.size(), 0u);
 }
 
 // ---------------------------------------------------------------------

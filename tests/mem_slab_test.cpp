@@ -1,191 +1,86 @@
-/// slab_cache (src/mem/slab_cache.hpp): depot-only mode (the exact
-/// legacy buffer_pool LIFO semantics), per-thread magazine hits,
-/// flush-half overflow, thread-exit flush through the shared depot,
-/// the buffer_pool adapter, and multi-threaded reuse — the latter a
-/// TSan target (-DHDHASH_SANITIZE=thread).
+/// buffer_pool (src/emu/buffer_pool.hpp): the mutex-guarded LIFO
+/// stack of recycled batch buffers that the ingest mesh's consumers
+/// return drained batches to and its producers refill from.  Checks the
+/// empty-pool miss, that a recycled buffer keeps its allocation, LIFO
+/// order, cross-thread recycle→take visibility, and reuse under many
+/// threads — the latter a TSan target (ctest -L mem).
+#include "emu/buffer_pool.hpp"
+
 #include <gtest/gtest.h>
 
-#include <condition_variable>
-#include <memory>
-#include <mutex>
+#include <atomic>
+#include <cstddef>
 #include <thread>
+#include <utility>
 #include <vector>
-
-#include "emu/buffer_pool.hpp"
-#include "mem/slab_cache.hpp"
 
 namespace hdhash {
 namespace {
 
-mem::slab_options depot_only() {
-  mem::slab_options options;
-  options.magazine_capacity = 0;
-  return options;
-}
-
-TEST(SlabCacheTest, DepotModeIsASharedLifoStack) {
-  mem::slab_cache<int> cache(depot_only());
-  int out = 0;
-  EXPECT_FALSE(cache.take(out));  // empty cache: construct fresh
-  cache.recycle(1);
-  cache.recycle(2);
-  cache.recycle(3);
-  EXPECT_EQ(cache.size(), 3u);
-  // LIFO: the warmest (most recently recycled) object comes back first.
-  ASSERT_TRUE(cache.take(out));
-  EXPECT_EQ(out, 3);
-  ASSERT_TRUE(cache.take(out));
-  EXPECT_EQ(out, 2);
-  ASSERT_TRUE(cache.take(out));
-  EXPECT_EQ(out, 1);
-  EXPECT_FALSE(cache.take(out));
-  const mem::slab_stats stats = cache.stats();
-  EXPECT_EQ(stats.puts, 3u);
-  EXPECT_EQ(stats.takes, 3u);
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.depot_hits, 3u);
-  EXPECT_EQ(stats.magazine_hits, 0u);
-}
-
-TEST(SlabCacheTest, MagazinesServeTheOwningThreadWithoutTheDepot) {
-  mem::slab_cache<int> cache;  // default: magazines on
-  cache.recycle(42);
-  int out = 0;
-  ASSERT_TRUE(cache.take(out));
-  EXPECT_EQ(out, 42);
-  const mem::slab_stats stats = cache.stats();
-  EXPECT_EQ(stats.magazine_hits, 1u);
-  EXPECT_EQ(stats.depot_hits, 0u);
-  EXPECT_EQ(stats.depot_size, 0u);  // never touched the shared stack
-}
-
-TEST(SlabCacheTest, FullMagazineFlushesItsOlderHalfToTheDepot) {
-  mem::slab_options options;
-  options.magazine_capacity = 4;
-  mem::slab_cache<int> cache(options);
-  for (int i = 1; i <= 5; ++i) {
-    cache.recycle(int{i});  // the fifth recycle overflows the magazine
-  }
-  EXPECT_EQ(cache.size(), 5u);  // nothing lost
-  const mem::slab_stats stats = cache.stats();
-  EXPECT_EQ(stats.depot_size, 2u);  // the *older* half moved out
-  // The magazine kept the warmest objects: 5 comes back first.
-  int out = 0;
-  ASSERT_TRUE(cache.take(out));
-  EXPECT_EQ(out, 5);
-  ASSERT_TRUE(cache.take(out));
-  EXPECT_EQ(out, 4);
-  ASSERT_TRUE(cache.take(out));
-  EXPECT_EQ(out, 3);
-  // Magazine dry: the depot serves the flushed older half.
-  ASSERT_TRUE(cache.take(out));
-  EXPECT_EQ(out, 2);
-  ASSERT_TRUE(cache.take(out));
-  EXPECT_EQ(out, 1);
-}
-
-TEST(SlabCacheTest, ThreadExitFlushesItsMagazineToTheDepot) {
-  mem::slab_cache<int> cache;  // magazines on
-  std::thread worker([&] { cache.recycle(7); });
-  worker.join();
-  // The worker's magazine flushed on thread exit: its object is now
-  // visible to every other thread through the depot.
-  int out = 0;
-  ASSERT_TRUE(cache.take(out));
-  EXPECT_EQ(out, 7);
-  EXPECT_EQ(cache.stats().depot_hits, 1u);
-}
-
-TEST(SlabCacheTest, ThreadExitAfterCacheDestructionIsSafe) {
-  // A magazine pins the depot via shared_ptr, so a thread outliving the
-  // cache flushes into still-alive memory (ASan proves it).
-  auto cache = std::make_unique<mem::slab_cache<std::vector<int>>>();
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool recycled = false;
-  bool destroyed = false;
-  std::thread worker([&] {
-    cache->recycle(std::vector<int>(64, 1));
-    {
-      const std::lock_guard lock(mutex);
-      recycled = true;
-    }
-    cv.notify_all();
-    std::unique_lock lock(mutex);
-    cv.wait(lock, [&] { return destroyed; });
-    // thread exit: magazine dtor flushes into the (still live) depot
-  });
-  {
-    std::unique_lock lock(mutex);
-    cv.wait(lock, [&] { return recycled; });
-  }
-  cache.reset();
-  {
-    const std::lock_guard lock(mutex);
-    destroyed = true;
-  }
-  cv.notify_all();
-  worker.join();
-}
-
-TEST(SlabCacheTest, DistinctCachesNeverShareMagazines) {
-  // Magazines are keyed by a monotonic cache id, so a new cache cannot
-  // inherit a destroyed cache's thread-local stash.
-  auto first = std::make_unique<mem::slab_cache<int>>();
-  first->recycle(1);
-  first.reset();
-  mem::slab_cache<int> second;
-  int out = 0;
-  EXPECT_FALSE(second.take(out));
-}
-
-TEST(SlabCacheTest, CrossThreadRoundTripUnderLoad) {
-  // The ingest-mesh shape: worker threads recycle, a producer takes.
-  // Depot-only mode makes every recycle immediately visible.
-  mem::slab_cache<std::vector<int>> cache(depot_only());
-  constexpr int kWorkers = 4;
-  constexpr int kRounds = 500;
-  std::vector<std::thread> workers;
-  for (int w = 0; w < kWorkers; ++w) {
-    workers.emplace_back([&cache] {
-      for (int i = 0; i < kRounds; ++i) {
-        std::vector<int> buffer;
-        if (!cache.take(buffer)) {
-          buffer.reserve(32);
-        }
-        buffer.clear();
-        buffer.push_back(i);
-        cache.recycle(std::move(buffer));
-      }
-    });
-  }
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
-  const mem::slab_stats stats = cache.stats();
-  EXPECT_EQ(stats.puts, static_cast<std::uint64_t>(kWorkers) * kRounds);
-  EXPECT_EQ(stats.takes + stats.misses,
-            static_cast<std::uint64_t>(kWorkers) * kRounds);
-  EXPECT_EQ(cache.size(), stats.puts - stats.takes);
-}
-
-TEST(BufferPoolTest, AdapterPreservesTheLegacyRecycleTakeContract) {
+TEST(BufferPoolTest, TakeFromEmptyPoolFails) {
   buffer_pool<std::vector<int>> pool;
-  std::vector<int> batch;
-  EXPECT_FALSE(pool.take(batch));
+  std::vector<int> buffer;
   EXPECT_EQ(pool.size(), 0u);
+  EXPECT_FALSE(pool.take(buffer));
+}
 
-  std::vector<int> first(100, 1);
-  const int* storage = first.data();
-  pool.recycle(std::move(first));
+TEST(BufferPoolTest, RecycledBufferKeepsItsAllocation) {
+  buffer_pool<std::vector<int>> pool;
+  std::vector<int> buffer;
+  buffer.reserve(1024);
+  const int* storage = buffer.data();
+  pool.recycle(std::move(buffer));
   EXPECT_EQ(pool.size(), 1u);
 
   std::vector<int> reused;
   ASSERT_TRUE(pool.take(reused));
-  // The round-trip hands back the same buffer — capacity (and NUMA
-  // placement) survives the recycle.
-  EXPECT_EQ(reused.data(), storage);
+  EXPECT_EQ(reused.data(), storage);  // same allocation came back
+  EXPECT_EQ(reused.capacity(), 1024u);
   EXPECT_EQ(pool.size(), 0u);
+}
+
+TEST(BufferPoolTest, LifoReuseUnderManyThreads) {
+  buffer_pool<std::vector<int>> pool;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 5'000;
+  std::vector<std::thread> threads;
+  std::atomic<int> takes{0};
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kRounds; ++i) {
+        std::vector<int> buffer;
+        if (pool.take(buffer)) {
+          takes.fetch_add(1, std::memory_order_relaxed);
+        }
+        buffer.clear();
+        pool.recycle(std::move(buffer));
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  // Every recycle stays in the pool, so at most kThreads buffers exist.
+  EXPECT_LE(pool.size(), static_cast<std::size_t>(kThreads));
+  EXPECT_GT(takes.load(), 0);
+}
+
+TEST(BufferPoolTest, IsASharedLifoStack) {
+  buffer_pool<int> pool;
+  int out = 0;
+  EXPECT_FALSE(pool.take(out));  // empty pool: construct fresh
+  pool.recycle(1);
+  pool.recycle(2);
+  pool.recycle(3);
+  EXPECT_EQ(pool.size(), 3u);
+  // LIFO: the warmest (most recently recycled) buffer comes back first.
+  ASSERT_TRUE(pool.take(out));
+  EXPECT_EQ(out, 3);
+  ASSERT_TRUE(pool.take(out));
+  EXPECT_EQ(out, 2);
+  ASSERT_TRUE(pool.take(out));
+  EXPECT_EQ(out, 1);
+  EXPECT_FALSE(pool.take(out));
 }
 
 TEST(BufferPoolTest, RecycleFromAnotherThreadIsImmediatelyTakeable) {
@@ -195,7 +90,7 @@ TEST(BufferPoolTest, RecycleFromAnotherThreadIsImmediatelyTakeable) {
   std::vector<int> batch;
   ASSERT_TRUE(pool.take(batch));
   EXPECT_EQ(batch.size(), 8u);
-  EXPECT_EQ(pool.stats().depot_hits, 1u);
+  EXPECT_EQ(pool.size(), 0u);
 }
 
 }  // namespace
